@@ -306,8 +306,7 @@ def cmd_sieve_delta(args) -> int:
     if args.method == "dense":
         delta = sieve.dense_gram_eigenvalue(problem, _cap(args))
     else:
-        delta = sieve.sieve_gram_eigenvalue(problem, tol=args.tol, seed=args.seed,
-                                            max_entries=_cap(args))
+        delta = sieve.sieve_gram_eigenvalue(problem, max_entries=_cap(args))
     payload = {
         "schema": SCHEMA,
         "command": "sieve-delta",
@@ -565,10 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-max", type=int, required=True, help="maximum base n")
     sp.add_argument("--m-len", type=int, required=True, help="coefficient window length M")
     sp.add_argument("--m-offset", type=int, default=0, help="window offset K (default 0)")
-    sp.add_argument("--tol", type=float, default=1e-8, help="relative tolerance (default 1e-8)")
-    sp.add_argument("--seed", type=int, default=42, help="iteration seed (default 42)")
     sp.add_argument("--method", choices=("power", "dense"), default="power",
-                    help="block power iteration (default) or dense eigensolver oracle")
+                    help="real Toeplitz Gram matrix (default) or the complex dense oracle")
     _add_common(sp)
     sp.set_defaults(func=cmd_sieve_delta)
 

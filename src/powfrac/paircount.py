@@ -387,13 +387,16 @@ def sharpness_study(k: int, n_values: Iterable[int], coprime: bool = False,
 
     Emits one row per n: the exact count, the ratio count / n^(k+1), and
     the finite-difference slope of log ratio against log n (None for the
-    first row).
+    first row).  A repeated n would leave the slope undefined and is refused.
     """
+    n_values = list(n_values)
+    if len(set(n_values)) != len(n_values):
+        raise RangeError(f"n values must be distinct, got {n_values}")
     rows: list[dict] = []
     prev: tuple[int, float] | None = None
     for n in n_values:
         y = Fraction(n ** (k + 1))
-        count = count_pairs_interval(PairQuery(k, n, y), max_points)
+        count = count_pairs_interval(PairQuery(k, n, y, coprime), max_points)
         ratio = count / n ** (k + 1)
         slope = None
         if prev is not None:

@@ -17,8 +17,9 @@ from math import gcd, isqrt
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConvergenceError, DimensionError, RangeError, ResourceError
+from .errors import DimensionError, RangeError, ResourceError
 from .fraccore import tuple_count
 
 DEFAULT_MAX_ENTRIES = 5_000_000
@@ -76,49 +77,42 @@ def sieve_matrix(p: SieveProblem, max_entries: int | None = None) -> np.ndarray:
 def gram_matrix(p: SieveProblem, max_entries: int | None = None) -> np.ndarray:
     b = sieve_matrix(p, max_entries)
     g = b.conj().T @ b
-    return (g + g.conj().T) / 2
+    g += g.conj().T
+    g *= 0.5
+    return g
 
 
-def _top_eigenvalue_block_power(g: np.ndarray, tol: float, seed: int = 42,
-                                block: int = 8, max_sweeps: int = 5000) -> float:
-    """Largest eigenvalue of a Hermitian PSD matrix by seeded block power iteration.
+def gram_column(p: SieveProblem) -> np.ndarray:
+    """First column t of the Gram matrix, G[i, j] = t[|i - j|], in exact int64.
 
-    A small orthonormal block with Rayleigh-Ritz extraction keeps the
-    convergence rate controlled by the gap past the block, so clustered
-    top eigenvalues do not stall the plain vector iteration.
+    Summing e(a*d / n^k) over a coprime to n gives the Ramanujan sum
+    c_{n^k}(d), the sum of mu(s) * n^k/s over s | n with (n^k/s) | d
+    (Hardy & Wright 16.6), so G is real Toeplitz and ignores m_offset.
     """
-    m = g.shape[0]
-    if m == 1:
-        return float(g[0, 0].real)
-    width = min(block, m)
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal((m, width)) + 1j * rng.standard_normal((m, width))
-    q, _ = np.linalg.qr(q)
-    prev = 0.0
-    for _ in range(max_sweeps):
-        z = g @ q
-        q, _ = np.linalg.qr(z)
-        # Rayleigh-Ritz on the current block
-        h = q.conj().T @ (g @ q)
-        h = (h + h.conj().T) / 2
-        ritz_vals, ritz_vecs = np.linalg.eigh(h)
-        theta = float(ritz_vals[-1])
-        top = q @ ritz_vecs[:, -1]
-        residual = float(np.linalg.norm(g @ top - theta * top))
-        scale = max(abs(theta), 1e-300)
-        if residual <= 0.1 * tol * scale and abs(theta - prev) <= 0.1 * tol * scale:
-            return theta
-        prev = theta
-    raise ConvergenceError(f"block power iteration did not converge in {max_sweeps} sweeps")
+    t = np.zeros(p.m_len, dtype=np.int64)
+    mu = [0, 1] + [0] * (p.n_max - 1)  # Moebius; mu[s] is final once the loop reaches s
+    for s in range(1, p.n_max + 1):
+        for n in range(2 * s, p.n_max + 1, s):
+            mu[n] -= mu[s]  # sum(mu(d) for d | n) == 0 for every n > 1
+        for n in range(s, p.n_max + 1, s) if mu[s] else ():
+            step = n**p.k // s
+            t[::step] += mu[s] * step  # a step of m_len or more touches only t[0]
+    return t
 
 
-def sieve_gram_eigenvalue(p: SieveProblem, tol: float = 1e-8, seed: int = 42,
-                          max_entries: int | None = None) -> float:
+def toeplitz_gram_matrix(p: SieveProblem, max_entries: int | None = None) -> np.ndarray:
+    """The real Gram matrix: one float64 copy of a window view over gram_column."""
+    p.validate()
+    _check_cap(p, max_entries)
+    t = gram_column(p)
+    # Row i of the reversed windows over (t[M-1], .., t[1], t[0], .., t[M-1]) is t[|i - j|].
+    windows = sliding_window_view(np.concatenate((t[:0:-1], t)), p.m_len)
+    return np.array(windows[::-1], dtype=np.float64)
+
+
+def sieve_gram_eigenvalue(p: SieveProblem, max_entries: int | None = None) -> float:
     """The optimal sieve constant: top eigenvalue of the window-side Gram matrix."""
-    if tol <= 0:
-        raise RangeError(f"tol must be positive, got {tol}")
-    g = gram_matrix(p, max_entries)
-    return _top_eigenvalue_block_power(g, tol, seed=seed)
+    return float(np.linalg.eigvalsh(toeplitz_gram_matrix(p, max_entries))[-1])
 
 
 def dense_gram_eigenvalue(p: SieveProblem, max_entries: int | None = None) -> float:

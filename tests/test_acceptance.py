@@ -243,7 +243,7 @@ def test_criterion_08_sieve_eigenvalue_grid():
     elapsed = time.perf_counter() - t0
     ok = worst_rel <= 1e-6 and bound_failures == 0 and shift_worst <= 1e-6
     _verdict(8, ok, f"{instances} (k,N,M) instances with P,M <= 200: "
-                    f"power vs dense worst rel {worst_rel:.1e}, "
+                    f"toeplitz vs dense worst rel {worst_rel:.1e}, "
                     f"{bound_failures} bound failures, offset-invariance worst "
                     f"rel {shift_worst:.1e}, {elapsed:.0f}s")
 

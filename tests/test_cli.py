@@ -1,10 +1,12 @@
 """End-to-end tests of the command line interface, run in process."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
 from powfrac.cli import main
+from powfrac.paircount import PairQuery, count_pairs_interval
 from powfrac.sieve import SieveProblem, dense_gram_eigenvalue
 
 SUBCOMMANDS = [
@@ -193,6 +195,23 @@ def test_sharpness_study_csv(capsys):
     first = lines[1].split(",")
     assert first[:3] == ["4", "56", "0.875"]
     assert first[3] == ""  # no slope for the first row
+
+
+def test_sharpness_study_coprime_rows(capsys):
+    code, out, _ = run_cli(capsys, [
+        "sharpness-study", "--k", "2", "--n-list", "3,5,6", "--coprime",
+    ])
+    assert code == 0
+    for row in json.loads(out)["rows"]:
+        n = row["n"]
+        query = PairQuery(2, n, Fraction(n**3), coprime=True)
+        assert row["count"] == count_pairs_interval(query)
+
+
+def test_sharpness_study_repeated_n_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["sharpness-study", "--k", "2", "--n-list", "4,4"])
+    assert code == 2
+    assert out == "" and "distinct" in err
 
 
 def test_invalid_rational_exits_2(capsys):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powfrac.errors import DimensionError
 from powfrac.fraccore import tuple_count
@@ -13,12 +15,45 @@ from powfrac.sieve import (
     classical_bounds,
     dense_gram_eigenvalue,
     dual_quadratic_form,
+    gram_column,
     gram_matrix,
     l1_sieve_sum,
+    row_count,
     sieve_gram_eigenvalue,
     sieve_matrix,
     sieve_rows,
+    toeplitz_gram_matrix,
 )
+
+# Largest n_max drawn for each k; P * M stays <= 20 000 so the dense oracle is cheap.
+_MAX_N = {1: 30, 2: 10, 3: 6, 4: 4}
+
+
+@st.composite
+def sieve_problems(draw):
+    k = draw(st.integers(1, 4))
+    n_max = draw(st.integers(1, _MAX_N[k]))
+    m_len = draw(st.integers(1, min(200, 20_000 // tuple_count(k, n_max, coprime=True))))
+    return SieveProblem(k, n_max, m_len, draw(st.integers(0, 10**9)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sieve_problems())
+def test_toeplitz_eigenvalue_matches_dense_oracle(p):
+    slow = dense_gram_eigenvalue(p)
+    assert abs(sieve_gram_eigenvalue(p) - slow) <= 1e-10 * slow
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sieve_problems())
+def test_gram_column_diagonal_is_row_count(p):
+    assert gram_column(p)[0] == row_count(p)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sieve_problems())
+def test_toeplitz_matrix_matches_gram_matrix(p):
+    assert np.abs(toeplitz_gram_matrix(p) - gram_matrix(p)).max() <= 1e-9
 
 
 def test_single_modulus_delta_is_window_length():
@@ -47,7 +82,7 @@ def test_rows_are_coprime_and_lex_sorted():
 
 def test_power_iteration_matches_dense():
     p = SieveProblem(k=2, n_max=2, m_len=3)
-    fast = sieve_gram_eigenvalue(p, tol=1e-10)
+    fast = sieve_gram_eigenvalue(p)
     slow = dense_gram_eigenvalue(p)
     assert abs(fast - slow) <= 1e-6 * slow
     assert fast >= 3.0 - 1e-9  # Delta >= max(M, P) lower bound
@@ -56,7 +91,7 @@ def test_power_iteration_matches_dense():
 def test_power_vs_dense_small_grid():
     for k, n_max, m_len in [(1, 3, 5), (1, 5, 2), (2, 3, 4), (3, 2, 7)]:
         p = SieveProblem(k=k, n_max=n_max, m_len=m_len)
-        fast = sieve_gram_eigenvalue(p, tol=1e-10)
+        fast = sieve_gram_eigenvalue(p)
         slow = dense_gram_eigenvalue(p)
         assert abs(fast - slow) <= 1e-6 * max(slow, 1.0), (k, n_max, m_len)
 
