@@ -1,10 +1,9 @@
 """Exact spacing statistics and large-sieve constants for fractions
 with power denominator."""
 
-from .errors import (ConvergenceError, CoprimalityError, DimensionError,
-                     OverflowPolicyError, PowfracError, RangeError,
+from .errors import (CoprimalityError, DimensionError, PowfracError, RangeError,
                      ResourceError, RootBracketError)
-from .fraccore import (EnumerationSpec, ExactRational, PowerFraction,
+from .fraccore import (EnumerationSpec, PowerFraction,
                        circle_distance, compare_fractions, enumerate_tuples,
                        euler_phi, format_rational, make_fraction,
                        parse_power_fraction, parse_rational, tuple_count)
@@ -26,10 +25,9 @@ from .sieve import (BoundReport, SieveProblem, classical_bounds,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConvergenceError", "CoprimalityError", "DimensionError",
-    "OverflowPolicyError", "PowfracError", "RangeError", "ResourceError",
-    "RootBracketError",
-    "EnumerationSpec", "ExactRational", "PowerFraction", "circle_distance",
+    "CoprimalityError", "DimensionError", "PowfracError", "RangeError",
+    "ResourceError", "RootBracketError",
+    "EnumerationSpec", "PowerFraction", "circle_distance",
     "compare_fractions", "enumerate_tuples", "euler_phi", "format_rational",
     "make_fraction", "parse_power_fraction", "parse_rational", "tuple_count",
     "CoverageProfile", "DyadicBlockQuery", "MultiplicativeNearQuery",

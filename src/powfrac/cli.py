@@ -17,13 +17,15 @@ import os
 import sys
 import time
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 
 from . import expsum, paircount, sieve
 from .errors import (CoprimalityError, DimensionError, PowfracError, RangeError,
                      ResourceError)
-from .fraccore import EnumerationSpec, enumerate_tuples, format_rational, parse_rational
+from .fraccore import (EnumerationSpec, enumerate_tuples, format_rational, parse_rational,
+                       tuple_count)
 
 SCHEMA = 1
 
@@ -64,11 +66,12 @@ def _cap(args) -> int | None:
 def cmd_enumerate(args) -> int:
     spec = EnumerationSpec(args.k, args.n_max, args.coprime, args.sorted)
     start = time.perf_counter()
-    tuples = list(enumerate_tuples(spec))
+    spec.validate()
+    count = tuple_count(spec.k, spec.n_max, spec.coprime)
     cap = _cap(args)
-    if cap is not None and len(tuples) > cap:
-        raise ResourceError(f"enumerate: {len(tuples)} tuples exceeds cap {cap}")
-    shown = tuples[: args.limit]
+    if cap is not None and count > cap:
+        raise ResourceError(f"enumerate: {count} tuples exceeds cap {cap}")
+    shown = list(islice(enumerate_tuples(spec), args.limit))
     payload = {
         "schema": SCHEMA,
         "command": "enumerate",
@@ -76,11 +79,11 @@ def cmd_enumerate(args) -> int:
         "n_max": args.n_max,
         "coprime": args.coprime,
         "sorted": args.sorted,
-        "count": len(tuples),
-        "truncated": len(shown) < len(tuples),
+        "count": count,
+        "truncated": len(shown) < count,
         "tuples": [f.to_json() for f in shown],
         "elapsed_ms": 1000 * (time.perf_counter() - start),
-        "summary": f"enumerate: {len(tuples)} tuples (k={args.k}, n_max={args.n_max})",
+        "summary": f"enumerate: {count} tuples (k={args.k}, n_max={args.n_max})",
     }
     _emit(args, payload)
     return 0

@@ -13,21 +13,8 @@ class CoprimalityError(PowfracError):
     """Coprime mode was requested but gcd(u, n) > 1."""
 
 
-class OverflowPolicyError(PowfracError):
-    """Reserved for fixed-width integer backends.
-
-    The pure-Python implementation always uses arbitrary-precision
-    integers, so this is never raised here; it exists so callers can
-    handle the condition uniformly if a fixed-width fast path is added.
-    """
-
-
 class ResourceError(PowfracError):
     """Predicted work exceeds the configured resource cap."""
-
-
-class ConvergenceError(PowfracError):
-    """An iterative method hit its iteration/refinement cap."""
 
 
 class RootBracketError(PowfracError):

@@ -14,11 +14,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
-from .errors import ConvergenceError, RangeError, RootBracketError
+from .errors import RangeError, ResourceError, RootBracketError
+
+# Largest P^2 (entries of the phase-difference kernel) mean_value_integral builds.
+MAX_KERNEL_ENTRIES = 5_000_000
 
 
 def e_of(x: float) -> complex:
@@ -279,7 +282,7 @@ def kusmin_landau_check(g: GenericPhase, lam: float, sample_cap: int = 2000) -> 
 
     The hypothesis (f' monotone, circle distance of f' to the integers
     at least lam) is the caller's to assert; sampled values of f' are
-    spot-checked and an AssertionError is raised on violation.
+    spot-checked and a RangeError is raised on violation.
     """
     if not 0 < lam < 1:
         raise RangeError(f"lam must lie in (0, 1), got {lam}")
@@ -288,7 +291,8 @@ def kusmin_landau_check(g: GenericPhase, lam: float, sample_cap: int = 2000) -> 
     for n in list(ns)[::step]:
         d = g.df(n)
         dist = abs(d - round(d))
-        assert dist >= lam - 1e-12, f"sampled ||f'({n})|| = {dist} < lam = {lam}"
+        if dist < lam - 1e-12:
+            raise RangeError(f"sampled ||f'({n})|| = {dist} < lam = {lam}")
     total = 0j
     for n in ns:
         total += e_of(g.f(n))
@@ -310,8 +314,8 @@ class MeanValueSpec:
     i2: tuple[int, int]
     y_max: float
     theta: Optional[Callable[[int, int], complex]] = None
-    rel_tol: float = 1e-4
-    max_refinements: int = 18
+    # Relative accuracy that mean_value_integral guarantees (a constant, not an option).
+    rel_tol: ClassVar[float] = 1e-4
 
     def validate(self) -> None:
         if self.y_max <= 0:
@@ -332,44 +336,21 @@ class MeanValueSpec:
         return np.asarray(phis, dtype=float), np.asarray(thetas, dtype=complex)
 
 
-def _simpson_mean(phis: np.ndarray, thetas: np.ndarray, y_max: float, intervals: int,
-                  chunk: int = 65536) -> float:
-    """Composite Simpson for (1/y_max) * integral of |S(y)|^2 over [-y_max, y_max]."""
-    nodes = np.linspace(-y_max, y_max, intervals + 1)
-    weights = np.ones(intervals + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    acc = 0.0
-    for start in range(0, len(nodes), chunk):
-        block = nodes[start:start + chunk]
-        s = np.exp(2j * np.pi * np.outer(block, phis)) @ thetas
-        acc += float(weights[start:start + chunk] @ (np.abs(s) ** 2))
-    h = 2 * y_max / intervals
-    return (h / 3) * acc / y_max
-
-
 def mean_value_integral(s: MeanValueSpec) -> float:
-    """Adaptive Simpson evaluation, refined until successive halvings agree.
+    """(1/y_max) * integral of |sum theta_j e(y phi_j)|^2 over [-y_max, y_max], in closed form.
 
-    The initial step obeys step * max|phi| <= 0.1; refinement halves the
-    step until the relative change drops below rel_tol.
+    Each cross term integrates to 2 * sinc(2 * y_max * (phi_i - phi_j)), the
+    kernel of Gallagher's lemma, so the mean is a Hermitian form in theta.
+    The P x P kernel is refused with ResourceError when P^2 exceeds
+    MAX_KERNEL_ENTRIES, before any phase is evaluated.
     """
     s.validate()
+    p = (s.i1[1] - s.i1[0] + 1) * (s.i2[1] - s.i2[0] + 1)
+    if p * p > MAX_KERNEL_ENTRIES:
+        raise ResourceError(f"mean value kernel of {p}^2 entries exceeds cap {MAX_KERNEL_ENTRIES}")
     phis, thetas = s.tables()
-    max_phi = float(np.max(np.abs(phis))) if len(phis) else 0.0
-    intervals = max(8, math.ceil(2 * s.y_max * max_phi / 0.1))
-    if intervals % 2:
-        intervals += 1
-    prev = _simpson_mean(phis, thetas, s.y_max, intervals)
-    for _ in range(s.max_refinements):
-        intervals *= 2
-        cur = _simpson_mean(phis, thetas, s.y_max, intervals)
-        if abs(cur - prev) <= s.rel_tol * max(abs(cur), 1e-12):
-            return cur
-        prev = cur
-    raise ConvergenceError(
-        f"quadrature did not stabilize within {s.max_refinements} refinements"
-    )
+    kernel = 2 * np.sinc(2 * s.y_max * (phis[:, None] - phis[None, :]))
+    return float((thetas @ kernel @ thetas.conj()).real)
 
 
 def phase_pair_count(s: MeanValueSpec) -> int:

@@ -17,10 +17,6 @@ from typing import Iterator
 
 from .errors import CoprimalityError, RangeError
 
-# Arbitrary-precision signed rational; stdlib Fraction already guarantees
-# lowest terms, positive denominator and exact total order.
-ExactRational = Fraction
-
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
 
 
@@ -115,6 +111,12 @@ class EnumerationSpec:
     coprime: bool = False
     sorted: bool = False
 
+    def validate(self) -> None:
+        if self.n_max < 1:
+            raise RangeError(f"n_max must be >= 1, got {self.n_max}")
+        if self.k < 1:
+            raise RangeError(f"k must be >= 1, got {self.k}")
+
 
 def tuple_count(k: int, n_max: int, coprime: bool = False) -> int:
     """Number of tuples the enumeration yields, in closed form.
@@ -142,10 +144,7 @@ def enumerate_tuples(spec: EnumerationSpec) -> Iterator[PowerFraction]:
     ordered by (n, u); implemented as a heap merge of the per-base
     streams (each already sorted), so memory stays O(n_max).
     """
-    if spec.n_max < 1:
-        raise RangeError(f"n_max must be >= 1, got {spec.n_max}")
-    if spec.k < 1:
-        raise RangeError(f"k must be >= 1, got {spec.k}")
+    spec.validate()
     streams = (_per_base_stream(n, spec.k, spec.coprime) for n in range(1, spec.n_max + 1))
     if spec.sorted:
         yield from heapq.merge(*streams, key=lambda f: (f.value, f.n, f.u))

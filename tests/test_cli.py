@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface, run in process."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,23 @@ def test_enumerate_sorted_starts_at_minimum(capsys):
     assert payload["tuples"][0] == {"k": 2, "n": 2, "u": 1}  # value 1/4
 
 
+def test_enumerate_cap_exits_3_before_listing(capsys, monkeypatch):
+    monkeypatch.setenv("POWFRAC_MAX_POINTS", "4")
+    monkeypatch.setattr("powfrac.cli.enumerate_tuples",
+                        lambda spec: pytest.fail("listed tuples past the cap"))
+    code, out, err = run_cli(capsys, ["enumerate", "--k", "2", "--n-max", "2", "--limit", "1"])
+    assert code == 3
+    assert out == "" and "resource limit" in err
+
+
+@pytest.mark.parametrize("k, n_max", [(0, 3), (2, 0)])
+def test_enumerate_bad_range_exits_2_without_listing(capsys, k, n_max):
+    code, out, _ = run_cli(capsys, ["enumerate", "--k", str(k), "--n-max", str(n_max),
+                                    "--limit", "0"])
+    assert code == 2
+    assert out == ""
+
+
 def test_blocks_count(capsys):
     code, out, _ = run_cli(capsys, [
         "blocks", "--k", "2", "--u1", "1", "--n1", "1", "--u2", "1", "--n2", "1",
@@ -108,6 +126,15 @@ def test_kusmin_report(capsys):
     assert payload["magnitude"] <= payload["bound"]
 
 
+def test_kusmin_violated_hypothesis_exits_2(capsys):
+    # f' = 0.1 sits at distance 0.1 < lam from the integers
+    code, out, err = run_cli(capsys, [
+        "kusmin", "--coef", "0.1", "--a", "1", "--b", "20", "--lam", "0.3",
+    ])
+    assert code == 2
+    assert out == "" and "lam" in err
+
+
 def test_meanvalue_matches_library(capsys):
     code, out, _ = run_cli(capsys, [
         "meanvalue", "--k", "1", "--n-lo", "1", "--n-hi", "2",
@@ -116,6 +143,29 @@ def test_meanvalue_matches_library(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["value"] > 0
+
+
+def test_meanvalue_over_cap_exits_3(capsys):
+    # P = 2500 phases: a kernel of P^2 = 6.25e6 entries is past the cap
+    code, out, err = run_cli(capsys, [
+        "meanvalue", "--k", "1", "--n-lo", "1", "--n-hi", "50",
+        "--u-lo", "1", "--u-hi", "50", "--y-max", "8",
+    ])
+    assert code == 3
+    assert out == "" and "resource limit" in err
+
+
+def test_meanvalue_large_y_is_fast(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, [
+        "meanvalue", "--k", "1", "--n-lo", "1", "--n-hi", "30",
+        "--u-lo", "1", "--u-hi", "30", "--y-max", "1e7",
+    ])
+    assert code == 0
+    assert time.perf_counter() - start < 10
+    payload = json.loads(out)
+    # Past the closest phase gap the mean is the coincident pairs, counted twice.
+    assert payload["value"] == pytest.approx(2 * payload["pair_count"], rel=0.05)
 
 
 def test_expsum_vdc_csv_header(capsys):

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from powfrac import ConvergenceError, RangeError, RootBracketError
+from powfrac import RangeError, RootBracketError
 from powfrac.expsum import (GenericPhase, MeanValueSpec, PhaseSpec,
                             calibrate_mean_value_shortening,
                             calibrate_pair_count_vs_mean_value, direct_monomial_sum,
@@ -161,7 +163,7 @@ def test_kusmin_landau_examples():
 
 
 def test_kusmin_landau_rejects_violated_hypothesis():
-    with pytest.raises(AssertionError):
+    with pytest.raises(RangeError):
         kusmin_landau_check(_linear_phase(0.1, 1, 20), 0.3)
     with pytest.raises(RangeError):
         kusmin_landau_check(_linear_phase(0.3, 1, 7), 0.0)
@@ -220,19 +222,46 @@ def test_mean_value_bounded_theta_vs_unit_theta():
     assert v_damped <= 16 * v_base
 
 
-def test_mean_value_quadrature_self_consistency():
-    spec = MeanValueSpec(power_phase(2), (1, 4), (1, 4), 16.0)
-    v1 = mean_value_integral(spec)
-    fine = MeanValueSpec(power_phase(2), (1, 4), (1, 4), 16.0, rel_tol=1e-6)
-    v2 = mean_value_integral(fine)
-    assert abs(v1 - v2) <= 1e-3 * abs(v2)
+def _quadrature_mean(phis, thetas, y_max):
+    """(1/y_max) * integral of |sum theta e(y phi)|^2 over [-y_max, y_max], by quadrature.
+
+    16-point Gauss-Legendre on equal panels no wider than 1 / (spread of
+    phi + 1), so no panel holds more than one period of the integrand.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    panels = math.ceil(2 * y_max * (np.ptp(phis) + 1))
+    half = y_max / panels
+    mids = -y_max + half * (2 * np.arange(panels) + 1)
+    ys = (mids[:, None] + half * nodes).ravel()
+    sums = np.exp(2j * np.pi * np.outer(ys, phis)) @ thetas
+    return half * float(np.tile(weights, panels) @ np.abs(sums) ** 2) / y_max
 
 
-def test_mean_value_convergence_error():
-    spec = MeanValueSpec(power_phase(1), (1, 4), (1, 4), 16.0, rel_tol=1e-14,
-                         max_refinements=1)
-    with pytest.raises(ConvergenceError):
-        mean_value_integral(spec)
+@st.composite
+def mean_value_specs(draw):
+    k = draw(st.integers(1, 3))
+    n_lo, u_lo = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    n_len = draw(st.integers(1, 6))
+    u_len = draw(st.integers(1, 36 // n_len))
+    keys = [(n, u) for n in range(n_lo, n_lo + n_len) for u in range(u_lo, u_lo + u_len)]
+    if draw(st.booleans()):
+        coeff = st.complex_numbers(max_magnitude=1)
+    else:
+        coeff = st.floats(-1, 1)
+    table = dict(zip(keys, draw(st.lists(coeff, min_size=len(keys), max_size=len(keys)))))
+    y_max = draw(st.floats(0.5, 50))
+    return MeanValueSpec(power_phase(k), (n_lo, n_lo + n_len - 1), (u_lo, u_lo + u_len - 1),
+                         y_max, theta=lambda n, u: table[(n, u)])
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(mean_value_specs())
+def test_mean_value_closed_form_matches_quadrature(spec):
+    phis, thetas = spec.tables()
+    slow = _quadrature_mean(phis, thetas, spec.y_max)
+    # Absolute floor: theta can cancel the sum down to rounding of its scale.
+    floor = 1e-12 * float(np.abs(thetas).sum()) ** 2
+    assert abs(mean_value_integral(spec) - slow) <= 1e-6 * slow + floor
 
 
 def test_mean_value_window_shortening_direction():
