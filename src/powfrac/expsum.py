@@ -354,19 +354,26 @@ def mean_value_integral(s: MeanValueSpec) -> float:
 
 
 def phase_pair_count(s: MeanValueSpec) -> int:
-    """Ordered quadruples with |phi(n1,u1) - phi(n2,u2)| <= 1/y_max (float compare)."""
+    """Ordered quadruples with |phi(n1,u1) - phi(n2,u2)| <= 1/y_max (float compare).
+
+    Rounded subtraction is monotone, so in sorted order the partners of
+    each phase form a window whose ends only move forward: a two-pointer
+    sweep evaluates the same float predicate as the double loop.
+    """
     s.validate()
-    phis = [
+    phis = sorted(
         s.phi(n, u)
         for n in range(s.i1[0], s.i1[1] + 1)
         for u in range(s.i2[0], s.i2[1] + 1)
-    ]
+    )
     t = 1.0 / s.y_max
-    count = 0
-    for p1 in phis:
-        for p2 in phis:
-            if abs(p1 - p2) <= t:
-                count += 1
+    count = lo = hi = 0
+    for p in phis:
+        while p - phis[lo] > t:
+            lo += 1
+        while hi < len(phis) and phis[hi] - p <= t:
+            hi += 1
+        count += hi - lo
     return count
 
 

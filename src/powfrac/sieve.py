@@ -54,7 +54,8 @@ def row_count(p: SieveProblem) -> int:
     return tuple_count(p.k, p.n_max, coprime=True)
 
 
-def _check_cap(p: SieveProblem, max_entries: int | None) -> None:
+def check_cap(p: SieveProblem, max_entries: int | None) -> None:
+    """Refuse (ResourceError) a P x m_len matrix past the cap, from row_count alone."""
     cap = DEFAULT_MAX_ENTRIES if max_entries is None else max_entries
     entries = row_count(p) * p.m_len
     if entries > cap:
@@ -64,7 +65,7 @@ def _check_cap(p: SieveProblem, max_entries: int | None) -> None:
 def sieve_matrix(p: SieveProblem, max_entries: int | None = None) -> np.ndarray:
     """Complex P x m_len matrix with entries e(a*m / n^k), exactly reduced."""
     p.validate()
-    _check_cap(p, max_entries)
+    check_cap(p, max_entries)
     ms = np.arange(p.m_offset + 1, p.m_offset + p.m_len + 1, dtype=object)
     out = np.empty((row_count(p), p.m_len), dtype=complex)
     for i, (a, n) in enumerate(sieve_rows(p)):
@@ -103,7 +104,7 @@ def gram_column(p: SieveProblem) -> np.ndarray:
 def toeplitz_gram_matrix(p: SieveProblem, max_entries: int | None = None) -> np.ndarray:
     """The real Gram matrix: one float64 copy of a window view over gram_column."""
     p.validate()
-    _check_cap(p, max_entries)
+    check_cap(p, max_entries)
     t = gram_column(p)
     # Row i of the reversed windows over (t[M-1], .., t[1], t[0], .., t[M-1]) is t[|i - j|].
     windows = sliding_window_view(np.concatenate((t[:0:-1], t)), p.m_len)
@@ -142,6 +143,7 @@ def dual_quadratic_form(p: SieveProblem, coeffs: Mapping[tuple[int, int], comple
     unknown keys raise IndexError) or a dense sequence in row order.
     """
     p.validate()
+    check_cap(p, max_entries)
     row_list = sieve_rows(p)
     if isinstance(coeffs, Mapping):
         index = {row: i for i, row in enumerate(row_list)}

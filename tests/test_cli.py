@@ -3,6 +3,7 @@
 import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,12 @@ SUBCOMMANDS = [
     "expsum-vdc", "kusmin", "meanvalue", "sieve-delta", "sieve-l1",
     "sieve-dual", "bounds", "sharpness-study",
 ]
+# The tabular commands, the only ones that take --format.
+CSV_COMMANDS = {"expsum-vdc", "bounds", "sharpness-study"}
+# One fixed argv per subcommand, the CSV forms and one exit-2 case, with the
+# exit code, stdout (JSON with elapsed_ms removed) and stderr each produced.
+# Inputs are chosen so that every float comes out exact or from libm alone.
+GOLDEN = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
 
 
 def run_cli(capsys, argv):
@@ -299,3 +306,47 @@ def test_every_subcommand_has_help(capsys, name):
     assert exc_info.value.code == 0
     out = capsys.readouterr().out
     assert "--output" in out
+    assert ("--format" in out) == (name in CSV_COMMANDS)
+
+
+def test_format_refused_without_csv_form(capsys):
+    code, out, err = run_cli(capsys, ["pairs", "--k", "2", "--n-max", "2", "--y", "2/1",
+                                      "--format", "csv"])
+    assert code == 2
+    assert out == "" and "--format" in err
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["id"] for case in GOLDEN])
+def test_report_matches_golden(capsys, case):
+    code, out, err = run_cli(capsys, case["argv"])
+    assert code == case["exit_code"]
+    if out.startswith("{"):
+        payload = json.loads(out)
+        assert out == json.dumps(payload, sort_keys=True) + "\n"
+        payload.pop("elapsed_ms", None)
+        out = json.dumps(payload, sort_keys=True) + "\n"
+    assert out == case["stdout"]
+    assert err == case["stderr"]
+
+
+def test_every_json_report_carries_elapsed_ms(capsys):
+    commands = set()
+    for case in GOLDEN:
+        if case["stdout"].startswith("{"):
+            code, out, _ = run_cli(capsys, case["argv"])
+            assert code == 0
+            assert json.loads(out)["elapsed_ms"] >= 0
+            commands.add(case["argv"][0])
+    assert commands == set(SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv", [
+    # P ~ 2.4e12 rows: a row coefficient vector of about 35 TiB
+    ["sieve-dual", "--k", "3", "--n-max", "2000", "--m-len", "1"],
+    # one row, but a window of 10^11: an alpha vector of hundreds of GiB
+    ["sieve-l1", "--k", "1", "--n-max", "1", "--m-len", "100000000000"],
+])
+def test_sieve_vectors_refused_before_allocating(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == "" and "resource limit" in err

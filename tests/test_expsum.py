@@ -264,6 +264,26 @@ def test_mean_value_closed_form_matches_quadrature(spec):
     assert abs(mean_value_integral(spec) - slow) <= 1e-6 * slow + floor
 
 
+@st.composite
+def pair_count_specs(draw):
+    k = draw(st.integers(1, 3))
+    n_lo, u_lo = draw(st.integers(1, 12)), draw(st.integers(0, 12))
+    n_hi, u_hi = n_lo + draw(st.integers(0, 6)), u_lo + draw(st.integers(0, 10))
+    # Y = n^k / j puts many gaps exactly on the threshold 1/Y.
+    y_max = draw(st.one_of(st.floats(0.01, 1e4),
+                           st.builds(lambda n, j: n**k / j, st.integers(1, 12), st.integers(1, 4))))
+    return MeanValueSpec(power_phase(k), (n_lo, n_hi), (u_lo, u_hi), y_max)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(pair_count_specs())
+def test_phase_pair_count_matches_double_loop(spec):
+    phis = [spec.phi(n, u) for n in range(spec.i1[0], spec.i1[1] + 1)
+            for u in range(spec.i2[0], spec.i2[1] + 1)]
+    t = 1.0 / spec.y_max
+    assert phase_pair_count(spec) == sum(abs(p1 - p2) <= t for p1 in phis for p2 in phis)
+
+
 def test_mean_value_window_shortening_direction():
     # the normalized mean over a longer window is dominated by the shorter one
     for size in (2, 4):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powfrac.errors import DimensionError
+from powfrac import sieve
+from powfrac.errors import DimensionError, ResourceError
 from powfrac.fraccore import tuple_count
 from powfrac.sieve import (
     BoundReport,
@@ -181,6 +182,13 @@ def test_dual_form_bounded_by_delta():
         coeffs = {key: np.exp(2j * np.pi * t) for key, t in zip(rows, phases)}
         val = dual_quadratic_form(p, coeffs)
         assert val <= delta * len(rows) * (1.0 + 1e-9)
+
+
+def test_dual_form_refuses_before_listing_rows(monkeypatch):
+    # P ~ 2.4e12 rows: listing them would never finish
+    monkeypatch.setattr(sieve, "sieve_rows", lambda p: pytest.fail("listed rows past the cap"))
+    with pytest.raises(ResourceError):
+        dual_quadratic_form(SieveProblem(3, 2000, 1), {})
 
 
 def test_dual_form_rejects_unknown_row():
