@@ -27,7 +27,7 @@ import numpy as np
 from . import expsum, paircount, sieve
 from .errors import CoprimalityError, DimensionError, RangeError, ResourceError
 from .fraccore import (EnumerationSpec, enumerate_tuples, format_rational, parse_rational,
-                       tuple_count)
+                       tuple_count_upto)
 
 SCHEMA = 1
 
@@ -37,6 +37,15 @@ def _positive_rational(text: str) -> Fraction:
     if value <= 0:
         raise ValueError(f"expected a positive rational, got {text!r}")
     return value
+
+
+def _output_path(text: str) -> str:
+    """A file path a report can be written to, checked before any work is done."""
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    if not os.path.isdir(os.path.dirname(text) or "."):
+        raise argparse.ArgumentTypeError(f"the directory of {text!r} does not exist")
+    return text
 
 
 def _int_list(text: str) -> list[int]:
@@ -67,10 +76,10 @@ def _cap() -> int | None:
 def cmd_enumerate(args):
     spec = EnumerationSpec(args.k, args.n_max, args.coprime, args.sorted)
     spec.validate()
-    count = tuple_count(spec.k, spec.n_max, spec.coprime)
     cap = _cap()
+    count = tuple_count_upto(spec.k, spec.n_max, spec.coprime, math.inf if cap is None else cap)
     if cap is not None and count > cap:
-        raise ResourceError(f"enumerate: {count} tuples exceeds cap {cap}")
+        raise ResourceError(f"enumerate: at least {count} tuples exceeds cap {cap}")
     shown = list(islice(enumerate_tuples(spec), args.limit))
     fields = {"k": args.k, "n_max": args.n_max, "coprime": args.coprime, "sorted": args.sorted,
               "count": count, "truncated": len(shown) < count,
@@ -267,7 +276,8 @@ def build_parser() -> argparse.ArgumentParser:
     def command(name, func, help_text, k_help=None, n_max=False, tabular=False):
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
-        sp.add_argument("--output", help="write the report to this path instead of stdout")
+        sp.add_argument("--output", type=_output_path,
+                        help="write the report to this path instead of stdout")
         if tabular:
             sp.add_argument("--format", choices=("json", "csv"), default="json",
                             help="report format (default json)")
@@ -322,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     arg("--y", type=_positive_rational, required=True, help='arc scale "p/q" (radius 1/y)')
     arg("--threshold", type=int, required=True, help="depth threshold T >= 1")
     arg("--no-coprime", action="store_true", help="use all tuples, not only gcd(u,n)=1")
-    arg("--profile-csv", help="also write the full step function to this CSV path")
+    arg("--profile-csv", type=_output_path,
+        help="also write the full step function to this CSV path")
 
     arg = command("expsum-direct", cmd_expsum_direct, "direct monomial exponential sum")
     monomial_phase(arg, "monomial exponent (nonzero)", "amplitude y >= 0")

@@ -29,6 +29,14 @@ def e_of(x: float) -> complex:
     return cmath.exp(2j * math.pi * math.fmod(x, 1.0))
 
 
+def _phase_sum(f: Callable[[float], float], ns: range) -> complex:
+    """Sum of e(f(n)) over ns, accumulated in order."""
+    total = 0j
+    for n in ns:
+        total += e_of(f(n))
+    return total
+
+
 def _interior_integers(lo: float, hi: float) -> range:
     """Integers strictly between lo and hi (ties at either end excluded)."""
     start = math.floor(lo) + 1
@@ -86,10 +94,7 @@ class PhaseSpec:
 def direct_monomial_sum(p: PhaseSpec) -> complex:
     """Sum of e(f(n)) over integers strictly inside (n_scale, eta*n_scale)."""
     p.validate()
-    total = 0j
-    for n in _interior_integers(p.n_scale, p.eta * p.n_scale):
-        total += e_of(p.f(n))
-    return total
+    return _phase_sum(p.f, _interior_integers(p.n_scale, p.eta * p.n_scale))
 
 
 def monomial_term_count(p: PhaseSpec) -> int:
@@ -194,10 +199,7 @@ def monomial_phase(p: PhaseSpec) -> GenericPhase:
 
 def direct_phase_sum(g: GenericPhase) -> complex:
     """Sum of e(f(n)) over integers strictly inside (a, b)."""
-    total = 0j
-    for n in _interior_integers(g.a, g.b):
-        total += e_of(g.f(n))
-    return total
+    return _phase_sum(g.f, _interior_integers(g.a, g.b))
 
 
 def _solve_df_equals(g: GenericPhase, m: int, tol: float = 1e-12) -> float:
@@ -293,10 +295,7 @@ def kusmin_landau_check(g: GenericPhase, lam: float, sample_cap: int = 2000) -> 
         dist = abs(d - round(d))
         if dist < lam - 1e-12:
             raise RangeError(f"sampled ||f'({n})|| = {dist} < lam = {lam}")
-    total = 0j
-    for n in ns:
-        total += e_of(g.f(n))
-    magnitude = abs(total)
+    magnitude = abs(_phase_sum(g.f, ns))
     bound = 1.0 / math.tan(math.pi * lam / 2)
     return KusminReport(magnitude=magnitude, bound=bound, passed=magnitude <= bound + 1e-9)
 

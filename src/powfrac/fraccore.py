@@ -118,15 +118,33 @@ class EnumerationSpec:
             raise RangeError(f"k must be >= 1, got {self.k}")
 
 
+def _base_counts(k: int, n_max: int, coprime: bool) -> Iterator[int]:
+    """Tuples with base n, for n = 1 .. n_max: n^k, or n^(k-1) * phi(n) with the
+    gcd filter, because the coprimality condition on u is n-periodic over [1, n^k]."""
+    for n in range(1, n_max + 1):
+        yield n ** (k - 1) * euler_phi(n) if coprime else n**k
+
+
 def tuple_count(k: int, n_max: int, coprime: bool = False) -> int:
     """Number of tuples the enumeration yields, in closed form.
 
-    Without the gcd filter this is sum(n^k); with it, sum(n^(k-1) * phi(n)),
-    because the coprimality condition on u is n-periodic over [1, n^k].
+    Without the gcd filter this is sum(n^k); with it, sum(n^(k-1) * phi(n)).
     """
-    if coprime:
-        return sum(n ** (k - 1) * euler_phi(n) for n in range(1, n_max + 1))
-    return sum(n**k for n in range(1, n_max + 1))
+    return sum(_base_counts(k, n_max, coprime))
+
+
+def tuple_count_upto(k: int, n_max: int, coprime: bool, cap: int) -> int:
+    """tuple_count when it is at most cap; otherwise the first partial sum past cap.
+
+    A refusal only needs to know that the count passes the cap, so the sum
+    stops there instead of visiting every base.
+    """
+    total = 0
+    for count in _base_counts(k, n_max, coprime):
+        total += count
+        if total > cap:
+            break
+    return total
 
 
 def _per_base_stream(n: int, k: int, coprime: bool) -> Iterator[PowerFraction]:

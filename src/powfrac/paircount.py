@@ -10,14 +10,14 @@ always included.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import RangeError, ResourceError
-from .fraccore import EnumerationSpec, circle_distance, enumerate_tuples, tuple_count
+from .fraccore import EnumerationSpec, circle_distance, enumerate_tuples, tuple_count_upto
 
 # Soft cap on enumerated tuples; callers may override per call.
 DEFAULT_MAX_POINTS = 2_000_000
@@ -33,7 +33,12 @@ def _resolve_cap(max_points: int | None) -> int:
 def _check_cap(predicted: int, max_points: int | None, what: str) -> None:
     cap = _resolve_cap(max_points)
     if predicted > cap:
-        raise ResourceError(f"{what}: predicted {predicted} tuples exceeds cap {cap}")
+        raise ResourceError(f"{what}: predicted at least {predicted} tuples exceeds cap {cap}")
+
+
+def _check_tuples(k: int, n_max: int, coprime: bool, max_points: int | None, what: str) -> None:
+    """Refuse an enumeration past the cap, summing per-base counts only until it passes."""
+    _check_cap(tuple_count_upto(k, n_max, coprime, _resolve_cap(max_points)), max_points, what)
 
 
 @dataclass(frozen=True)
@@ -61,54 +66,45 @@ def _sorted_values(k: int, n_max: int, coprime: bool) -> list[Fraction]:
     return vals
 
 
-def _ordered_pairs_within(sorted_vals: Sequence[Fraction], t: Fraction) -> int:
-    """Ordered pairs (i, j), diagonal included, with |v_i - v_j| <= t.
+def _pairs_within(a: Sequence, b: Sequence, lo, hi) -> int:
+    """Ordered pairs (v in a, w in b) with lo <= w - v <= hi; a and b sorted.
 
-    Both window edges move monotonically with i, so the scan is O(P)
-    comparisons after sorting.
+    Both window edges v + lo and v + hi rise with v, so the two pointers
+    into b only move forward: O(len(a) + len(b)) comparisons.  Ties at
+    either edge count.
     """
-    count = 0
-    lo = 0
-    hi = 0
-    n = len(sorted_vals)
-    for i in range(n):
-        v = sorted_vals[i]
-        lo_bound = v - t
-        hi_bound = v + t
-        while sorted_vals[lo] < lo_bound:
-            lo += 1
-        if hi < i:
-            hi = i
-        while hi + 1 < n and sorted_vals[hi + 1] <= hi_bound:
-            hi += 1
-        count += hi - lo + 1
+    count = start = stop = 0
+    n = len(b)
+    for v in a:
+        low, high = v + lo, v + hi
+        while start < n and b[start] < low:
+            start += 1
+        while stop < n and b[stop] <= high:
+            stop += 1
+        count += stop - start
     return count
 
 
 def count_pairs_interval(q: PairQuery, max_points: int | None = None) -> int:
     """Exact ordered near-pair count by sorted sweep with a two-pointer window."""
     q.validate()
-    _check_cap(tuple_count(q.k, q.n_max, q.coprime), max_points, "count_pairs_interval")
+    _check_tuples(q.k, q.n_max, q.coprime, max_points, "count_pairs_interval")
     vals = _sorted_values(q.k, q.n_max, q.coprime)
     t = 1 / q.y
-    line = _ordered_pairs_within(vals, t)
     if q.metric == "line":
-        return line
+        return _pairs_within(vals, vals, -t, t)
     if t >= HALF:
         return len(vals) ** 2
     # Circle wrap-around: distance min(d, 1-d) <= t additionally admits
-    # pairs with d >= 1-t; disjoint from d <= t since t < 1/2.
-    wrap_gap = ONE - t
-    wrap = 0
-    for v in vals:
-        wrap += bisect_right(vals, v - wrap_gap)
-    return line + 2 * wrap
+    # pairs with d >= 1-t, disjoint from d <= t since t < 1/2.  Values lie
+    # in (0, 1], so w - v > -1 and only the upper edge binds.
+    return _pairs_within(vals, vals, -t, t) + 2 * _pairs_within(vals, vals, -1, t - 1)
 
 
 def count_pairs_bruteforce(q: PairQuery, max_points: int | None = None) -> int:
     """O(P^2) oracle for count_pairs_interval; all-integer comparisons."""
     q.validate()
-    _check_cap(tuple_count(q.k, q.n_max, q.coprime), max_points, "count_pairs_bruteforce")
+    _check_tuples(q.k, q.n_max, q.coprime, max_points, "count_pairs_bruteforce")
     tuples = [(f.u, f.n**q.k) for f in enumerate_tuples(EnumerationSpec(q.k, q.n_max, q.coprime))]
     yp, yq = q.y.numerator, q.y.denominator
     circle = q.metric == "circle"
@@ -167,13 +163,9 @@ def count_pairs_block(q: DyadicBlockQuery, closed: bool = False, max_points: int
     side1 = (q.u1 + extra) * (q.n1 + extra)
     side2 = (q.u2 + extra) * (q.n2 + extra)
     _check_cap(side1 + side2, max_points, "count_pairs_block")
-    a = _block_values(q.u1, q.n1, q.k, closed)
-    b = _block_values(q.u2, q.n2, q.k, closed)
     t = 1 / q.y
-    count = 0
-    for v in a:
-        count += bisect_right(b, v + t) - bisect_left(b, v - t)
-    return count
+    return _pairs_within(_block_values(q.u1, q.n1, q.k, closed),
+                         _block_values(q.u2, q.n2, q.k, closed), -t, t)
 
 
 def count_pairs_block_single(u_start: int, n_start: int, k: int, y: Fraction,
@@ -213,7 +205,8 @@ def count_pairs_reciprocal(q: ReciprocalPairQuery, max_points: int | None = None
         for u in range(q.u, 2 * q.u + 1)
     ]
     vals.sort()
-    return _ordered_pairs_within(vals, 1 / q.z)
+    t = 1 / q.z
+    return _pairs_within(vals, vals, -t, t)
 
 
 @dataclass(frozen=True)
@@ -247,23 +240,13 @@ def count_multiplicative_near(q: MultiplicativeNearQuery) -> MultiplicativeNearR
     most max_multiplicity times.
     """
     q.validate()
-    prods = Counter(
+    prods = sorted(
         n**q.k * w
         for n in range(q.m, 2 * q.m + 1)
         for w in range(q.v_start, 2 * q.v_start + 1)
     )
-    items = sorted(prods.items())
-    keys = [p for p, _ in items]
-    mults = [c for _, c in items]
-    prefix = [0]
-    for c in mults:
-        prefix.append(prefix[-1] + c)
-    count = 0
-    for p, c in items:
-        j_lo = bisect_left(keys, p - q.h)
-        j_hi = bisect_right(keys, p + q.h)
-        count += c * (prefix[j_hi] - prefix[j_lo])
-    max_mult = max(mults)
+    count = _pairs_within(prods, prods, -q.h, q.h)
+    max_mult = max(Counter(prods).values())
     tuples_per_side = (q.m + 1) * (q.v_start + 1)
     cap = tuples_per_side * (2 * q.h + 1) * max_mult
     return MultiplicativeNearReport(count=count, divisor_cap=cap, max_multiplicity=max_mult)
@@ -320,7 +303,7 @@ def coverage_profile(k: int, n_max: int, y: Fraction, coprime: bool = True,
     """Sweep the 2*P closed-arc endpoints into an exact coverage step function."""
     if y <= 0:
         raise RangeError(f"threshold scale y must be positive, got {y}")
-    _check_cap(tuple_count(k, n_max, coprime), max_points, "coverage_profile")
+    _check_tuples(k, n_max, coprime, max_points, "coverage_profile")
     centers = [f.value % 1 for f in enumerate_tuples(EnumerationSpec(k, n_max, coprime))]
     p = len(centers)
     r = 1 / y
@@ -357,7 +340,7 @@ def window_count(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool = T
     """Exact number of tuples whose value lies within circle distance 1/y of x."""
     if y <= 0:
         raise RangeError(f"threshold scale y must be positive, got {y}")
-    _check_cap(tuple_count(k, n_max, coprime), max_points, "window_count")
+    _check_tuples(k, n_max, coprime, max_points, "window_count")
     t = 1 / y
     return sum(
         1

@@ -13,16 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import isqrt
 from typing import Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, RangeError, ResourceError
-from .fraccore import tuple_count
+from .fraccore import tuple_count, tuple_count_upto
 
 DEFAULT_MAX_ENTRIES = 5_000_000
+# sieve_matrix forms a*m with a <= n^k and m < n^k in int64, exact below this modulus.
+_MAX_INT64_MODULUS = 2**31
 
 
 @dataclass(frozen=True)
@@ -39,15 +41,15 @@ class SieveProblem:
             raise RangeError(f"m_offset must be >= 0, got {self.m_offset}")
 
 
+def _coprime_residues(n: int, k: int) -> np.ndarray:
+    """The a in [1, n^k] with gcd(a, n) = 1, ascending, as int64."""
+    a = np.arange(1, n**k + 1, dtype=np.int64)
+    return a[np.gcd(a, n) == 1]
+
+
 def sieve_rows(p: SieveProblem) -> list[tuple[int, int]]:
     """Row index set [(a, n)] in (n, a)-lexicographic order."""
-    out = []
-    for n in range(1, p.n_max + 1):
-        nk = n**p.k
-        for a in range(1, nk + 1):
-            if gcd(a, n) == 1:
-                out.append((a, n))
-    return out
+    return [(a, n) for n in range(1, p.n_max + 1) for a in _coprime_residues(n, p.k).tolist()]
 
 
 def row_count(p: SieveProblem) -> int:
@@ -55,23 +57,34 @@ def row_count(p: SieveProblem) -> int:
 
 
 def check_cap(p: SieveProblem, max_entries: int | None) -> None:
-    """Refuse (ResourceError) a P x m_len matrix past the cap, from row_count alone."""
+    """Refuse (ResourceError) a P x m_len matrix past the cap, counting rows per
+    modulus only until they pass it: rows * m_len > cap exactly when rows > cap // m_len."""
     cap = DEFAULT_MAX_ENTRIES if max_entries is None else max_entries
-    entries = row_count(p) * p.m_len
+    entries = tuple_count_upto(p.k, p.n_max, True, cap // p.m_len) * p.m_len
     if entries > cap:
-        raise ResourceError(f"matrix of {entries} entries exceeds cap {cap}")
+        raise ResourceError(f"matrix of at least {entries} entries exceeds cap {cap}")
 
 
 def sieve_matrix(p: SieveProblem, max_entries: int | None = None) -> np.ndarray:
-    """Complex P x m_len matrix with entries e(a*m / n^k), exactly reduced."""
+    """Complex P x m_len matrix with entries e(a*m / n^k), exactly reduced.
+
+    Each modulus reduces its window mod n^k first (the offset as a Python
+    int), so a*m stays below n^(2k) and the int64 product is exact while
+    n^k < 2^31; larger moduli are refused.
+    """
     p.validate()
     check_cap(p, max_entries)
-    ms = np.arange(p.m_offset + 1, p.m_offset + p.m_len + 1, dtype=object)
+    if p.n_max**p.k >= _MAX_INT64_MODULUS:
+        raise ResourceError(f"modulus {p.n_max}^{p.k} is past the exact int64 range")
+    window = np.arange(1, p.m_len + 1, dtype=np.int64)
     out = np.empty((row_count(p), p.m_len), dtype=complex)
-    for i, (a, n) in enumerate(sieve_rows(p)):
+    i = 0
+    for n in range(1, p.n_max + 1):
         nk = n**p.k
-        residues = np.array([(a * int(m)) % nk for m in ms], dtype=float)
-        out[i] = np.exp(2j * np.pi * residues / nk)
+        a = _coprime_residues(n, p.k)
+        m = (p.m_offset % nk + window) % nk
+        out[i:i + len(a)] = np.exp(2j * np.pi * ((a[:, None] * m) % nk) / nk)
+        i += len(a)
     return out
 
 
@@ -144,20 +157,18 @@ def dual_quadratic_form(p: SieveProblem, coeffs: Mapping[tuple[int, int], comple
     """
     p.validate()
     check_cap(p, max_entries)
-    row_list = sieve_rows(p)
     if isinstance(coeffs, Mapping):
-        index = {row: i for i, row in enumerate(row_list)}
-        c = np.zeros(len(row_list), dtype=complex)
+        index = {row: i for i, row in enumerate(sieve_rows(p))}
+        c = np.zeros(len(index), dtype=complex)
         for key, value in coeffs.items():
             if key not in index:
                 raise IndexError(f"coefficient key {key} outside the row set")
             c[index[key]] = value
     else:
         c = np.asarray(coeffs, dtype=complex)
-        if c.shape != (len(row_list),):
-            raise DimensionError(
-                f"dense coeffs must have length {len(row_list)}, got shape {c.shape}"
-            )
+        rows = row_count(p)
+        if c.shape != (rows,):
+            raise DimensionError(f"dense coeffs must have length {rows}, got shape {c.shape}")
     b = sieve_matrix(p, max_entries)
     return float((np.abs(c @ b) ** 2).sum())
 

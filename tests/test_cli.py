@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from powfrac import fraccore, paircount
 from powfrac.cli import main
 from powfrac.paircount import PairQuery, count_pairs_interval
 from powfrac.sieve import SieveProblem, dense_gram_eigenvalue
@@ -350,3 +351,35 @@ def test_sieve_vectors_refused_before_allocating(capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert code == 3
     assert out == "" and "resource limit" in err
+
+
+@pytest.mark.parametrize("argv, env_cap", [
+    (["sieve-delta", "--k", "1", "--n-max", "3000000", "--m-len", "1"], None),
+    (["pairs", "--k", "1", "--n-max", "3000000", "--y", "1/1", "--coprime"], None),
+    (["enumerate", "--k", "1", "--n-max", "3000000", "--coprime"], "2000000"),
+])
+def test_refusal_stops_counting_at_the_cap(capsys, monkeypatch, argv, env_cap):
+    if env_cap:
+        monkeypatch.setenv("POWFRAC_MAX_POINTS", env_cap)
+    calls = []
+    phi = fraccore.euler_phi
+    monkeypatch.setattr(fraccore, "euler_phi", lambda n: calls.append(n) or phi(n))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == "" and "resource limit" in err
+    # sum(phi(n)) passes 2*10^6 near n = 2 570 and 5*10^6 near n = 4 060, not at 3*10^6
+    assert 0 < len(calls) < 5_000
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["pairs", "--k", "2", "--n-max", "2", "--y", "2/1", "--output"], "count_pairs_interval"),
+    (["measure", "--k", "1", "--n-max", "3", "--y", "4/1", "--threshold", "1", "--profile-csv"],
+     "coverage_profile"),
+])
+@pytest.mark.parametrize("bad", ["missing_dir", "directory"])
+def test_output_path_refused_before_work(capsys, monkeypatch, tmp_path, argv, work, bad):
+    monkeypatch.setattr(paircount, work, lambda *a, **kw: pytest.fail("ran before the path check"))
+    path = tmp_path / "missing" / "out" if bad == "missing_dir" else tmp_path
+    code, out, err = run_cli(capsys, argv + [str(path)])
+    assert code == 2
+    assert out == "" and str(path) in err

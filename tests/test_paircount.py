@@ -5,13 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from powfrac import (CoverageProfile, DyadicBlockQuery, MultiplicativeNearQuery,
+from powfrac import (CoverageProfile, DyadicBlockQuery, EnumerationSpec, MultiplicativeNearQuery,
                      PairQuery, RangeError, ReciprocalPairQuery, ResourceError,
                      count_multiplicative_near, count_pairs_block,
                      count_pairs_block_single, count_pairs_bruteforce,
                      count_pairs_interval, count_pairs_reciprocal, coverage_profile,
-                     exceptional_measure, sharpness_study, tuple_count, window_count)
+                     enumerate_tuples, exceptional_measure, sharpness_study, tuple_count,
+                     window_count)
 
 
 def _random_rational(rng: random.Random, lo: int, hi: int) -> Fraction:
@@ -232,3 +235,101 @@ def test_sharpness_study_rows():
         assert r["count"] == count_pairs_interval(PairQuery(2, r["n"], Fraction(r["n"] ** 3)))
         assert r["ratio"] == pytest.approx(r["count"] / r["n"] ** 3)
     assert all(isinstance(r["log_slope"], float) for r in rows[1:])
+
+
+# Property tests: every caller of the shared window sweep against a double loop.
+# Thresholds sit on the exact gap between two drawn values, so pairs tie at the
+# window edges; two coincident values fall back to a drawn threshold.
+
+def _threshold(draw, v1: Fraction, v2: Fraction) -> Fraction:
+    gap = abs(v1 - v2)
+    return gap if gap else Fraction(1, draw(st.integers(1, 10**6)))
+
+
+@st.composite
+def pair_queries(draw):
+    k = draw(st.integers(1, 3))
+    n_max = draw(st.integers(1, (12, 5, 3)[k - 1]))
+    coprime, metric = draw(st.booleans()), draw(st.sampled_from(["line", "circle"]))
+    vals = [f.value for f in enumerate_tuples(EnumerationSpec(k, n_max, coprime))]
+    t = _threshold(draw, draw(st.sampled_from(vals)), draw(st.sampled_from(vals)))
+    if metric == "circle" and t < 1 and draw(st.booleans()):
+        t = 1 - t  # the tie then falls on the wrap-around edge
+    return PairQuery(k, n_max, 1 / t, coprime, metric)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(pair_queries())
+def test_interval_sweep_matches_bruteforce(q):
+    assert count_pairs_interval(q) == count_pairs_bruteforce(q)
+
+
+def _block_side(u_start: int, n_start: int, k: int, closed: bool) -> list[tuple[int, int]]:
+    extra = 1 if closed else 0
+    return [(u, n**k) for n in range(n_start, 2 * n_start + extra)
+            for u in range(u_start, 2 * u_start + extra)]
+
+
+@st.composite
+def block_queries(draw):
+    k, closed = draw(st.integers(1, 3)), draw(st.booleans())
+    u1, n1, u2, n2 = (draw(st.integers(1, hi)) for hi in (8, 4, 8, 4))
+    a = Fraction(*draw(st.sampled_from(_block_side(u1, n1, k, closed))))
+    b = Fraction(*draw(st.sampled_from(_block_side(u2, n2, k, closed))))
+    return DyadicBlockQuery(k, u1, n1, u2, n2, 1 / _threshold(draw, a, b)), closed
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(block_queries())
+def test_block_sweep_matches_cross_multiplication(case):
+    q, closed = case
+    yp, yq = q.y.numerator, q.y.denominator
+    expected = sum(1 for u1, d1 in _block_side(q.u1, q.n1, q.k, closed)
+                   for u2, d2 in _block_side(q.u2, q.n2, q.k, closed)
+                   if abs(u1 * d2 - u2 * d1) * yp <= yq * d1 * d2)
+    assert count_pairs_block(q, closed=closed) == expected
+
+
+def _reciprocal_side(k: int, m: int, u: int) -> list[tuple[int, int]]:
+    """(n^k, u_i) for each value (n/M)^k U/u_i of the closed boxes."""
+    return [(n**k, w) for n in range(m, 2 * m + 1) for w in range(u, 2 * u + 1)]
+
+
+@st.composite
+def reciprocal_queries(draw):
+    k, m, u = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    side = [Fraction(nk * u, m**k * w) for nk, w in _reciprocal_side(k, m, u)]
+    t = _threshold(draw, draw(st.sampled_from(side)), draw(st.sampled_from(side)))
+    return ReciprocalPairQuery(k, m, u, 1 / t)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(reciprocal_queries())
+def test_reciprocal_sweep_matches_cross_multiplication(q):
+    side = _reciprocal_side(q.k, q.m, q.u)
+    zp, zq = q.z.numerator, q.z.denominator
+    # |U a/(M^k w1) - U b/(M^k w2)| <= 1/z  <=>  U |a w2 - b w1| zp <= zq M^k w1 w2
+    expected = sum(1 for a, w1 in side for b, w2 in side
+                   if q.u * abs(a * w2 - b * w1) * zp <= zq * q.m**q.k * w1 * w2)
+    assert count_pairs_reciprocal(q) == expected
+
+
+def _products(k: int, m: int, v_start: int) -> list[int]:
+    return [n**k * w for n in range(m, 2 * m + 1) for w in range(v_start, 2 * v_start + 1)]
+
+
+@st.composite
+def multiplicative_queries(draw):
+    k, m, v = draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    prods = _products(k, m, v)
+    return MultiplicativeNearQuery(k, m, v, abs(draw(st.sampled_from(prods))
+                                                - draw(st.sampled_from(prods))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(multiplicative_queries())
+def test_multiplicative_sweep_matches_double_loop(q):
+    prods = _products(q.k, q.m, q.v_start)
+    report = count_multiplicative_near(q)
+    assert report.count == sum(1 for a in prods for b in prods if abs(a - b) <= q.h)
+    assert report.max_multiplicity == max(prods.count(p) for p in prods)

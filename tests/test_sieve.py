@@ -191,6 +191,14 @@ def test_dual_form_refuses_before_listing_rows(monkeypatch):
         dual_quadratic_form(SieveProblem(3, 2000, 1), {})
 
 
+def test_dual_form_dense_coeffs_skip_row_listing(monkeypatch):
+    p = SieveProblem(k=2, n_max=3, m_len=4, m_offset=9)
+    coeffs = np.exp(2j * np.pi * np.arange(row_count(p)) / 7)
+    expected = dual_quadratic_form(p, dict(zip(sieve_rows(p), coeffs)))
+    monkeypatch.setattr(sieve, "sieve_rows", lambda p: pytest.fail("listed rows for a dense sequence"))
+    assert dual_quadratic_form(p, coeffs) == expected
+
+
 def test_dual_form_rejects_unknown_row():
     p = SieveProblem(k=1, n_max=2, m_len=3)
     with pytest.raises(IndexError):
@@ -288,3 +296,25 @@ def test_sieve_matrix_first_row_constant():
     b = sieve_matrix(p)
     idx = rows.index((1, 1))
     assert np.allclose(b[idx], 1.0)
+
+
+@pytest.mark.parametrize("k, n_max, m_len, m_offset", [
+    (1, 5, 7, 0), (1, 30, 40, 10**12 + 3), (2, 4, 6, 10**30), (2, 10, 20, 10**30 + 7),
+    (3, 3, 5, 17), (4, 3, 3, 999),
+])
+def test_sieve_matrix_matches_exact_integer_reference(k, n_max, m_len, m_offset):
+    # Reference: each phase reduced as a Python int, one row at a time.
+    p = SieveProblem(k, n_max, m_len, m_offset)
+    ref = np.array([
+        np.exp(2j * np.pi * np.array([(a * m) % n**k for m in range(m_offset + 1,
+                                                                   m_offset + m_len + 1)],
+                                     dtype=float) / n**k)
+        for a, n in sieve_rows(p)
+    ])
+    assert np.array_equal(sieve_matrix(p), ref)
+
+
+def test_sieve_matrix_refuses_modulus_past_int64_products():
+    # 2^31 rows of modulus 2^31: a * m could overflow int64, so refuse before building
+    with pytest.raises(ResourceError):
+        sieve_matrix(SieveProblem(k=31, n_max=2, m_len=1), max_entries=10**10)
