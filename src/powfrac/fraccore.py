@@ -54,6 +54,22 @@ def euler_phi(n: int) -> int:
     return result
 
 
+def mobius_upto(n: int) -> list[int]:
+    """[mu(0), mu(1), ..., mu(n)] with the placeholder mu(0) = 0.
+
+    Sieved from sum(mu(d) for d | m) == 0 for every m > 1: mu[s] is final
+    once the loop reaches s, and it is then subtracted from each multiple.
+    """
+    mu = [0] * (n + 1)
+    if n >= 1:
+        mu[1] = 1
+    for s in range(1, n // 2 + 1):
+        if mu[s]:
+            for m in range(2 * s, n + 1, s):
+                mu[m] -= mu[s]
+    return mu
+
+
 @dataclass(frozen=True)
 class PowerFraction:
     """One tuple (u, n, k) standing for the fraction u / n^k in (0, 1]."""

@@ -1,10 +1,14 @@
 """Exact near-pair, block, window, coverage and measure statistics.
 
-Every count in this module is decided in exact rational arithmetic
-(integer cross-multiplication underneath `fractions.Fraction`); floats
-appear only in report diagnostics, never in a comparison that decides
-a count.  Boundary ties (distance exactly equal to the threshold) are
-always included.
+Every count in this module is decided in exact integer or rational
+arithmetic; floats appear only in report diagnostics, never in a
+comparison that decides a count.  Boundary ties (distance exactly equal
+to the threshold) are always included.
+
+Near-pair, block and window counts never list the fractions.  For a pair
+of bases (n1, n2), the pairs |u1/n1^k - u2/n2^k| <= 1/y are the lattice
+points of a strip, counted by floor sums in O(log) steps; the gcd filter
+is a Moebius sum over squarefree divisors of each base.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import RangeError, ResourceError
-from .fraccore import EnumerationSpec, circle_distance, enumerate_tuples, tuple_count_upto
+from .fraccore import (EnumerationSpec, circle_distance, enumerate_tuples, mobius_upto,
+                       tuple_count, tuple_count_upto)
 
 # Soft cap on enumerated tuples; callers may override per call.
 DEFAULT_MAX_POINTS = 2_000_000
@@ -60,12 +65,6 @@ class PairQuery:
             raise RangeError(f"metric must be 'line' or 'circle', got {self.metric!r}")
 
 
-def _sorted_values(k: int, n_max: int, coprime: bool) -> list[Fraction]:
-    vals = [f.value for f in enumerate_tuples(EnumerationSpec(k, n_max, coprime))]
-    vals.sort()
-    return vals
-
-
 def _pairs_within(a: Sequence, b: Sequence, lo, hi) -> int:
     """Ordered pairs (v in a, w in b) with lo <= w - v <= hi; a and b sorted.
 
@@ -85,20 +84,101 @@ def _pairs_within(a: Sequence, b: Sequence, lo, hi) -> int:
     return count
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum(floor((a*i + b) / m) for i in range(n)), m >= 1, in O(log m) steps.
+
+    The Euclid-like reduction of the AtCoder Library's floor_sum: after
+    splitting off the integer parts of a/m and b/m, the lattice points under
+    the line are recounted with the axes swapped.  Python's floor division
+    makes negative a and b exact.
+    """
+    total = 0
+    while True:
+        total += n * (n - 1) // 2 * (a // m) + n * (b // m)
+        a, b = a % m, b % m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
+def _clamped_floor_sum(a: int, b: int, m: int, x0: int, x1: int, lo: int, hi: int) -> int:
+    """sum(clamp(floor((a*x + b) / m), lo, hi) for x in [x0, x1]), a, m >= 1.
+
+    The floor rises with x, so the clamp splits [x0, x1] into a run at lo,
+    a run of plain floor sums and a run at hi.
+    """
+    xa = min(max(x0, -((b - lo * m) // a)), x1 + 1)  # first x with floor >= lo
+    xb = min(max(xa, -((b - (hi + 1) * m) // a)), x1 + 1)  # first x with floor > hi
+    return lo * (xa - x0) + _floor_sum(xb - xa, m, a, a * xa + b) + hi * (x1 + 1 - xb)
+
+
+def _strip(alpha: int, beta: int, x0: int, x1: int, y0: int, y1: int, lo: int, hi: int) -> int:
+    """#{x0 <= x <= x1, y0 <= y <= y1 : lo <= alpha*x - beta*y <= hi}.
+
+    Needs alpha, beta >= 1, lo <= hi and non-empty ranges.  For each x the
+    admissible y run from floor((alpha*x - hi - 1)/beta) + 1 to
+    floor((alpha*x - lo)/beta); clamping both ends to [y0 - 1, y1] turns the
+    count into a difference of two clamped floor sums.
+    """
+    return (_clamped_floor_sum(alpha, -lo, beta, x0, x1, y0 - 1, y1)
+            - _clamped_floor_sum(alpha, -hi - 1, beta, x0, x1, y0 - 1, y1))
+
+
+def _mobius_divisors(n_max: int, coprime: bool) -> list[list[tuple[int, int]]]:
+    """For each n <= n_max, the (e, mu(e)) over squarefree e | n, or just (1, 1)
+    without the gcd filter: #{u <= h : gcd(u, n) = 1} = sum(mu(e) * (h // e))."""
+    if not coprime:
+        return [[(1, 1)]] * (n_max + 1)
+    mu = mobius_upto(n_max)
+    divs: list[list[tuple[int, int]]] = [[] for _ in range(n_max + 1)]
+    for e in range(1, n_max + 1):
+        if mu[e]:
+            for n in range(e, n_max + 1, e):
+                divs[n].append((e, mu[e]))
+    return divs
+
+
 def count_pairs_interval(q: PairQuery, max_points: int | None = None) -> int:
-    """Exact ordered near-pair count by sorted sweep with a two-pointer window."""
+    """Exact ordered near-pair count, one lattice-point count per pair of bases.
+
+    With the gcd filter, u_i = e_i*v_i over squarefree e_i | n_i (Moebius
+    inversion), so u_i/n_i^k = v_i/c_i with c_i = n_i^k/e_i and
+    1 <= v_i <= c_i.  Scaled to l = lcm(c1, c2), |v1/c1 - v2/c2| <= q/p
+    reads |(l/c1)*v1 - (l/c2)*v2| <= floor(q*l/p), one strip.  The count is
+    symmetric in (n1, n2), so each unordered pair of bases is counted once.
+    """
     q.validate()
     _check_tuples(q.k, q.n_max, q.coprime, max_points, "count_pairs_interval")
-    vals = _sorted_values(q.k, q.n_max, q.coprime)
-    t = 1 / q.y
-    if q.metric == "line":
-        return _pairs_within(vals, vals, -t, t)
-    if t >= HALF:
-        return len(vals) ** 2
-    # Circle wrap-around: distance min(d, 1-d) <= t additionally admits
-    # pairs with d >= 1-t, disjoint from d <= t since t < 1/2.  Values lie
-    # in (0, 1], so w - v > -1 and only the upper edge binds.
-    return _pairs_within(vals, vals, -t, t) + 2 * _pairs_within(vals, vals, -1, t - 1)
+    circle = q.metric == "circle"
+    if circle and 1 / q.y >= HALF:
+        # every circle distance is at most 1/2 <= 1/y
+        return tuple_count(q.k, q.n_max, q.coprime) ** 2
+    yp, yq = q.y.numerator, q.y.denominator
+    divs = _mobius_divisors(q.n_max, q.coprime)
+    total = 0
+    for n1 in range(1, q.n_max + 1):
+        d1 = n1**q.k
+        for n2 in range(n1, q.n_max + 1):
+            d2 = n2**q.k
+            count = 0
+            for e1, mu1 in divs[n1]:
+                for e2, mu2 in divs[n2]:
+                    c1, c2 = d1 // e1, d2 // e2
+                    l = math.lcm(c1, c2)
+                    reach = yq * l // yp
+                    strips = _strip(l // c1, l // c2, 1, c1, 1, c2, -reach, reach)
+                    if circle:
+                        # Circle wrap, disjoint from the line strip since 1/y < 1/2:
+                        # |v1/c1 - v2/c2| >= 1 - 1/y, i.e. |(l/c1)*v1 - (l/c2)*v2| >= wrap,
+                        # where that difference lies in (-l, l).
+                        wrap = -((yq - yp) * l // yp)
+                        strips += (_strip(l // c1, l // c2, 1, c1, 1, c2, wrap, l)
+                                   + _strip(l // c1, l // c2, 1, c1, 1, c2, -l, -wrap))
+                    count += mu1 * mu2 * strips
+            total += count if n1 == n2 else 2 * count
+    return total
 
 
 def count_pairs_bruteforce(q: PairQuery, max_points: int | None = None) -> int:
@@ -141,31 +221,30 @@ class DyadicBlockQuery:
             raise RangeError(f"threshold scale y must be positive, got {self.y}")
 
 
-def _block_values(u_start: int, n_start: int, k: int, closed: bool) -> list[Fraction]:
-    extra = 1 if closed else 0
-    vals = [
-        Fraction(u, n**k)
-        for n in range(n_start, 2 * n_start + extra)
-        for u in range(u_start, 2 * u_start + extra)
-    ]
-    vals.sort()
-    return vals
-
-
 def count_pairs_block(q: DyadicBlockQuery, closed: bool = False, max_points: int | None = None) -> int:
     """Exact block count over u_i in [U_i, 2U_i), n_i in [N_i, 2N_i).
 
     closed=True switches both ranges to the closed convention
-    [U_i, 2U_i] x [N_i, 2N_i]; the half-open form is the default.
+    [U_i, 2U_i] x [N_i, 2N_i]; the half-open form is the default.  Each
+    pair of bases is one strip over the two u ranges, as in
+    count_pairs_interval.
     """
     q.validate()
     extra = 1 if closed else 0
     side1 = (q.u1 + extra) * (q.n1 + extra)
     side2 = (q.u2 + extra) * (q.n2 + extra)
     _check_cap(side1 + side2, max_points, "count_pairs_block")
-    t = 1 / q.y
-    return _pairs_within(_block_values(q.u1, q.n1, q.k, closed),
-                         _block_values(q.u2, q.n2, q.k, closed), -t, t)
+    yp, yq = q.y.numerator, q.y.denominator
+    total = 0
+    for n1 in range(q.n1, 2 * q.n1 + extra):
+        d1 = n1**q.k
+        for n2 in range(q.n2, 2 * q.n2 + extra):
+            d2 = n2**q.k
+            l = math.lcm(d1, d2)
+            reach = yq * l // yp
+            total += _strip(l // d1, l // d2, q.u1, 2 * q.u1 - 1 + extra,
+                            q.u2, 2 * q.u2 - 1 + extra, -reach, reach)
+    return total
 
 
 def count_pairs_block_single(u_start: int, n_start: int, k: int, y: Fraction,
@@ -240,6 +319,7 @@ def count_multiplicative_near(q: MultiplicativeNearQuery) -> MultiplicativeNearR
     most max_multiplicity times.
     """
     q.validate()
+    _check_cap((q.m + 1) * (q.v_start + 1) * 2, None, "count_multiplicative_near")
     prods = sorted(
         n**q.k * w
         for n in range(q.m, 2 * q.m + 1)
@@ -337,16 +417,36 @@ def coverage_profile(k: int, n_max: int, y: Fraction, coprime: bool = True,
 
 def window_count(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool = True,
                  max_points: int | None = None) -> int:
-    """Exact number of tuples whose value lies within circle distance 1/y of x."""
+    """Exact number of tuples whose value lies within circle distance 1/y of x.
+
+    For each base n the values u/n^k within 1/y of x + s, s in {-1, 0, 1},
+    form one run of u, clipped to [1, n^k]; the three runs are disjoint once
+    1/y < 1/2.  The gcd filter counts each run by Moebius inversion over the
+    squarefree divisors of n.
+    """
     if y <= 0:
         raise RangeError(f"threshold scale y must be positive, got {y}")
     _check_tuples(k, n_max, coprime, max_points, "window_count")
-    t = 1 / y
-    return sum(
-        1
-        for f in enumerate_tuples(EnumerationSpec(k, n_max, coprime))
-        if circle_distance(f.value, x) <= t
-    )
+    if 1 / y >= HALF:
+        # every circle distance is at most 1/2 <= 1/y
+        return tuple_count(k, n_max, coprime)
+    # x = a/b in [0, 1); u/n^k within t = c/d of x + s  <=>
+    # ((a + s*b)*d - b*c) * n^k <= u * b*d <= ((a + s*b)*d + b*c) * n^k
+    x = x % 1
+    a, b = x.numerator, x.denominator
+    c, d = y.denominator, y.numerator
+    bd = b * d
+    centres = [(a + s * b) * d for s in (-1, 0, 1)]
+    divs = _mobius_divisors(n_max, coprime)
+    count = 0
+    for n in range(1, n_max + 1):
+        nk = n**k
+        for centre in centres:
+            hi = min((centre + b * c) * nk // bd, nk)
+            below = max(-((b * c - centre) * nk // bd) - 1, 0)  # ceil(lower edge) - 1
+            if hi > below:
+                count += sum(mu * (hi // e - below // e) for e, mu in divs[n])
+    return count
 
 
 def exceptional_measure(profile: CoverageProfile, t_threshold: int) -> Fraction:

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, RangeError, ResourceError
-from .fraccore import tuple_count, tuple_count_upto
+from .fraccore import mobius_upto, tuple_count, tuple_count_upto
 
 DEFAULT_MAX_ENTRIES = 5_000_000
 # sieve_matrix forms a*m with a <= n^k and m < n^k in int64, exact below this modulus.
@@ -104,10 +104,8 @@ def gram_column(p: SieveProblem) -> np.ndarray:
     (Hardy & Wright 16.6), so G is real Toeplitz and ignores m_offset.
     """
     t = np.zeros(p.m_len, dtype=np.int64)
-    mu = [0, 1] + [0] * (p.n_max - 1)  # Moebius; mu[s] is final once the loop reaches s
+    mu = mobius_upto(p.n_max)
     for s in range(1, p.n_max + 1):
-        for n in range(2 * s, p.n_max + 1, s):
-            mu[n] -= mu[s]  # sum(mu(d) for d | n) == 0 for every n > 1
         for n in range(s, p.n_max + 1, s) if mu[s] else ():
             step = n**p.k // s
             t[::step] += mu[s] * step  # a step of m_len or more touches only t[0]

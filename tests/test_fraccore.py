@@ -10,6 +10,7 @@ from powfrac import (CoprimalityError, EnumerationSpec, PowerFraction, RangeErro
                      circle_distance, compare_fractions, enumerate_tuples, euler_phi,
                      format_rational, make_fraction, parse_power_fraction,
                      parse_rational, tuple_count)
+from powfrac.fraccore import mobius_upto
 
 
 def test_make_fraction_basic():
@@ -142,3 +143,20 @@ def test_euler_phi_small_values():
         assert euler_phi(n) == phi
     with pytest.raises(RangeError):
         euler_phi(0)
+
+
+def test_mobius_upto_matches_factorization():
+    def mu(n):
+        sign, p = 1, 2
+        while p * p <= n:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                sign = -sign
+            p += 1
+        return -sign if n > 1 else sign
+
+    assert mobius_upto(0) == [0]
+    assert mobius_upto(1) == [0, 1]
+    assert mobius_upto(500) == [0] + [mu(n) for n in range(1, 501)]

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powfrac import paircount
 from powfrac import (CoverageProfile, DyadicBlockQuery, EnumerationSpec, MultiplicativeNearQuery,
-                     PairQuery, RangeError, ReciprocalPairQuery, ResourceError,
+                     PairQuery, RangeError, ReciprocalPairQuery, ResourceError, circle_distance,
                      count_multiplicative_near, count_pairs_block,
                      count_pairs_block_single, count_pairs_bruteforce,
                      count_pairs_interval, count_pairs_reciprocal, coverage_profile,
@@ -217,6 +218,18 @@ def test_multiplicative_examples():
     assert count_multiplicative_near(MultiplicativeNearQuery(2, 1, 1, 1)).count == 6
 
 
+def test_multiplicative_refuses_before_listing_products():
+    class Exponent(int):
+        """Raises as soon as a product n**k is formed."""
+
+        def __rpow__(self, base):
+            raise AssertionError("a product was listed before the cap check")
+
+    # 2 * (10^6 + 1)^2 tuples on the two sides, far past the default cap
+    with pytest.raises(ResourceError):
+        count_multiplicative_near(MultiplicativeNearQuery(Exponent(2), 10**6, 10**6, 0))
+
+
 def test_multiplicative_cap_dominates_count():
     rng = random.Random(23)
     for _ in range(20):
@@ -333,3 +346,76 @@ def test_multiplicative_sweep_matches_double_loop(q):
     report = count_multiplicative_near(q)
     assert report.count == sum(1 for a in prods for b in prods if abs(a - b) <= q.h)
     assert report.max_multiplicity == max(prods.count(p) for p in prods)
+
+
+def _enumerated_window(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool) -> int:
+    """The enumerating window count: every tuple's exact circle distance to x."""
+    t = 1 / y
+    return sum(1 for f in enumerate_tuples(EnumerationSpec(k, n_max, coprime))
+               if circle_distance(f.value, x) <= t)
+
+
+@st.composite
+def window_queries(draw):
+    k = draw(st.integers(1, 3))
+    n_max = draw(st.integers(1, (12, 5, 3)[k - 1]))
+    coprime = draw(st.booleans())
+    vals = [f.value for f in enumerate_tuples(EnumerationSpec(k, n_max, coprime))]
+    # the gap between two values: past 1/2 (every point counts) or any finer gap
+    t = _threshold(draw, draw(st.sampled_from(vals)), draw(st.sampled_from(vals)))
+    # x sits on the exact edge of a point's window, so the window's own edges
+    # meet other points; from the smallest point or from 1 it falls across
+    # the wrap at 0/1
+    v = draw(st.one_of(st.sampled_from([min(vals), Fraction(1)]), st.sampled_from(vals)))
+    x = v + draw(st.sampled_from([-t, t]))
+    return k, n_max, x + draw(st.integers(-1, 1)), 1 / t, coprime
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(window_queries())
+def test_window_count_matches_enumeration(case):
+    assert window_count(*case) == _enumerated_window(*case)
+
+
+# Mid-size counts against the sweep over the sorted values, at thresholds from
+# past the whole circle down to exact coincidence, with 31-digit numerators and
+# denominators.
+_BIG = 10**30 + 7
+_EXTREME_Y = [Fraction(_BIG, _BIG + 1),         # 1/y > 1: every line pair counts
+              Fraction(2),                      # 1/y = 1/2: every circle pair counts
+              Fraction(2 * _BIG + 1, _BIG),     # 1/y just below 1/2
+              Fraction(_BIG, 10**26),           # 1/y about 10^-4
+              Fraction(_BIG + 2, _BIG),         # 1/y just below 1
+              Fraction(_BIG)]                   # only coincident values
+
+
+def _swept_count(vals: list, y: Fraction, metric: str) -> int:
+    t = 1 / y
+    if metric == "circle" and t >= Fraction(1, 2):
+        return len(vals) ** 2
+    line = paircount._pairs_within(vals, vals, -t, t)
+    return line if metric == "line" else line + 2 * paircount._pairs_within(vals, vals, -1, t - 1)
+
+
+@pytest.mark.parametrize("k, n_max, coprime", [(2, 24, False), (3, 10, True)])
+def test_interval_matches_sorted_sweep_mid_size(k, n_max, coprime):
+    vals = sorted(f.value for f in enumerate_tuples(EnumerationSpec(k, n_max, coprime)))
+    critical = n_max ** (k + 1)
+    ys = _EXTREME_Y + [Fraction(critical * _BIG, _BIG + 2), Fraction(critical, 3)]
+    for y in ys:
+        for metric in ("line", "circle"):
+            q = PairQuery(k, n_max, y, coprime, metric)
+            assert count_pairs_interval(q) == _swept_count(vals, y, metric), (y, metric)
+
+
+def test_lattice_counts_never_enumerate(monkeypatch):
+    def refuse(spec):
+        raise AssertionError(f"enumerated {spec}")
+
+    monkeypatch.setattr(paircount, "enumerate_tuples", refuse)
+    for coprime in (False, True):
+        for metric in ("line", "circle"):
+            assert count_pairs_interval(PairQuery(2, 30, Fraction(27000), coprime, metric)) > 0
+    assert window_count(2, 30, Fraction(1, 3), Fraction(900)) > 0
+    assert count_pairs_block(DyadicBlockQuery(2, 100, 8, 120, 9, Fraction(10**5))) > 0
+    assert len(sharpness_study(2, [10, 20, 30])) == 3
