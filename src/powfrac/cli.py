@@ -310,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     arg("--metric", choices=("line", "circle"), default="line",
         help="absolute value on R (line) or distance mod 1 (circle)")
     arg("--method", choices=("sweep", "oracle"), default="sweep",
-        help="sorted sweep (default) or the O(P^2) oracle")
+        help="the fast count (default) or the O(P^2) oracle")
 
     arg = command("blocks", cmd_blocks, "near-pair count over dyadic boxes", k_help)
     arg("--u1", type=int, required=True, help="first numerator block start")

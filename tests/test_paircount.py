@@ -277,6 +277,21 @@ def test_interval_sweep_matches_bruteforce(q):
     assert count_pairs_interval(q) == count_pairs_bruteforce(q)
 
 
+# STRIPS_PER_TUPLE = 0 sends every query to the sorted sweep, a huge value
+# to the lattice count, so each path meets the oracle on every drawn query.
+_SWEEP, _LATTICE = 0, 10**9
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(pair_queries())
+def test_interval_both_paths_match_bruteforce(q):
+    expected = count_pairs_bruteforce(q)
+    for strips in (_SWEEP, _LATTICE):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(paircount, "STRIPS_PER_TUPLE", strips)
+            assert count_pairs_interval(q) == expected, strips
+
+
 def _block_side(u_start: int, n_start: int, k: int, closed: bool) -> list[tuple[int, int]]:
     extra = 1 if closed else 0
     return [(u, n**k) for n in range(n_start, 2 * n_start + extra)
@@ -301,6 +316,20 @@ def test_block_sweep_matches_cross_multiplication(case):
                    for u2, d2 in _block_side(q.u2, q.n2, q.k, closed)
                    if abs(u1 * d2 - u2 * d1) * yp <= yq * d1 * d2)
     assert count_pairs_block(q, closed=closed) == expected
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(block_queries())
+def test_block_both_paths_match_cross_multiplication(case):
+    q, closed = case
+    yp, yq = q.y.numerator, q.y.denominator
+    expected = sum(1 for u1, d1 in _block_side(q.u1, q.n1, q.k, closed)
+                   for u2, d2 in _block_side(q.u2, q.n2, q.k, closed)
+                   if abs(u1 * d2 - u2 * d1) * yp <= yq * d1 * d2)
+    for strips in (_SWEEP, _LATTICE):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(paircount, "STRIPS_PER_TUPLE", strips)
+            assert count_pairs_block(q, closed=closed) == expected, strips
 
 
 def _reciprocal_side(k: int, m: int, u: int) -> list[tuple[int, int]]:
@@ -409,13 +438,37 @@ def test_interval_matches_sorted_sweep_mid_size(k, n_max, coprime):
 
 
 def test_lattice_counts_never_enumerate(monkeypatch):
-    def refuse(spec):
+    def refuse(*spec):
         raise AssertionError(f"enumerated {spec}")
 
     monkeypatch.setattr(paircount, "enumerate_tuples", refuse)
+    monkeypatch.setattr(paircount, "_block_values", refuse)
     for coprime in (False, True):
         for metric in ("line", "circle"):
             assert count_pairs_interval(PairQuery(2, 30, Fraction(27000), coprime, metric)) > 0
+    # two strips per tuple on the line, six on the circle (next test)
+    assert count_pairs_interval(PairQuery(2, 6, Fraction(216), True)) > 0
     assert window_count(2, 30, Fraction(1, 3), Fraction(900)) > 0
     assert count_pairs_block(DyadicBlockQuery(2, 100, 8, 120, 9, Fraction(10**5))) > 0
     assert len(sharpness_study(2, [10, 20, 30])) == 3
+
+
+def test_sweep_serves_where_strips_outnumber_tuples(monkeypatch):
+    """k = 1 with the gcd filter, and blocks with one u per base, have many
+    more strips than tuples; the sorted sweep counts them, so the work stays
+    within the capped tuple count."""
+    def refuse(*args):
+        raise AssertionError("ran the lattice count")
+
+    monkeypatch.setattr(paircount, "_interval_lattice", refuse)
+    monkeypatch.setattr(paircount, "_near", refuse)
+    for q in (PairQuery(1, 30, Fraction(900), True, "line"),
+              PairQuery(1, 30, Fraction(900), True, "circle"),
+              PairQuery(2, 6, Fraction(216), True, "circle")):
+        assert count_pairs_interval(q) == count_pairs_bruteforce(q)
+    # 10^4 tuples 1/n a side, 10^8 pairs of bases: the strips would never
+    # finish.  Neighbours 1/n, 1/(n+1) are within 1/y once n(n+1) >= y, that
+    # is for n >= 15000; values two apart never are, as 2/(n(n+2)) > 1/y.
+    y = Fraction(15000 * 15001)
+    q = DyadicBlockQuery(1, 1, 10**4, 1, 10**4, y)
+    assert count_pairs_block(q) == 10**4 + 2 * (2 * 10**4 - 1 - 15000)
