@@ -10,7 +10,7 @@ from .fraccore import (EnumerationSpec, PowerFraction,
 from .paircount import (CoverageProfile, DyadicBlockQuery,
                         MultiplicativeNearQuery, MultiplicativeNearReport,
                         PairQuery, ReciprocalPairQuery, count_multiplicative_near,
-                        count_pairs_block, count_pairs_block_single,
+                        count_pairs_block,
                         count_pairs_bruteforce, count_pairs_interval,
                         count_pairs_reciprocal, coverage_profile,
                         exceptional_measure, sharpness_study, window_count)
@@ -32,7 +32,7 @@ __all__ = [
     "make_fraction", "parse_power_fraction", "parse_rational", "tuple_count",
     "CoverageProfile", "DyadicBlockQuery", "MultiplicativeNearQuery",
     "MultiplicativeNearReport", "PairQuery", "ReciprocalPairQuery",
-    "count_multiplicative_near", "count_pairs_block", "count_pairs_block_single",
+    "count_multiplicative_near", "count_pairs_block",
     "count_pairs_bruteforce", "count_pairs_interval", "count_pairs_reciprocal",
     "coverage_profile", "exceptional_measure", "sharpness_study", "window_count",
     "GenericPhase", "KusminReport", "MeanValueSpec", "PhaseSpec",

@@ -5,14 +5,19 @@ arithmetic; floats appear only in report diagnostics, never in a
 comparison that decides a count.  Boundary ties (distance exactly equal
 to the threshold) are always included.
 
-Near-pair and block counts are lattice-point counts.  For a pair of
-bases (n1, n2), the pairs |u1/n1^k - u2/n2^k| <= 1/y are the lattice
-points of a strip, counted by floor sums in O(log) steps; the gcd filter
-is a Moebius sum over squarefree divisors of each base.  Where the strips
-would outnumber the tuples by more than STRIPS_PER_TUPLE (k = 1 with the
-gcd filter, or blocks with few u per base), a sorted sweep over the
-tuples serves instead, so the work never exceeds a fixed multiple of the
-tuple count the cap bounds.  Window counts never list the fractions.
+Near-pair and block counts are lattice-point counts.  For denominators
+c1, c2, the pairs |v1/c1 - v2/c2| <= 1/y are the lattice points of a
+strip, counted by floor sums in O(log) steps.  Near-pair and window counts
+run over one table of reduced denominators c with integer weights w(c):
+w(n^k) = 1 without the gcd filter, and with it the Moebius sum, where
+u = e*v over squarefree e | n turns u/n^k into v/c with c = n^k/e.  At
+k = 1 that gives w(c) = M(N // c), the Mertens function, so the table has
+at most N entries.  A near-pair count runs one strip per unordered pair of
+entries (up to three on the circle), at most six per tuple, so its work stays
+within a fixed multiple of the tuple count the cap bounds; neither count
+lists the fractions.  Block counts run one strip per pair of bases, or a
+sorted sweep over the tuples where the pairs of bases outnumber them by
+more than STRIPS_PER_TUPLE.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from typing import Iterable, Sequence
 
 from .errors import RangeError, ResourceError
 from .fraccore import (EnumerationSpec, circle_distance, enumerate_tuples, mobius_upto,
-                       tuple_count, tuple_count_upto)
+                       tuple_count_upto)
 
 # Soft cap on enumerated tuples; callers may override per call.
 DEFAULT_MAX_POINTS = 2_000_000
@@ -135,109 +140,73 @@ def _strip(alpha: int, beta: int, x0: int, x1: int, y0: int, y1: int, lo: int, h
             - _clamped_floor_sum(alpha, -hi - 1, beta, x0, x1, y0 - 1, y1))
 
 
-def _mobius_divisors(n_max: int, coprime: bool) -> list[list[tuple[int, int]]]:
-    """For each n <= n_max, the (e, mu(e)) over squarefree e | n, or just (1, 1)
-    without the gcd filter: #{u <= h : gcd(u, n) = 1} = sum(mu(e) * (h // e))."""
+def _reduced_denominators(k: int, n_max: int, coprime: bool) -> dict[int, int]:
+    """Weights w(c) with #{tuples u/n^k in a set} = sum(w(c) * #{v/c in it, 1 <= v <= c}).
+
+    Without the gcd filter the table is w(n^k) = 1.  With it, Moebius
+    inversion writes [gcd(u, n) = 1] as the sum of mu(e) over squarefree
+    e | gcd(u, n), and u = e*v turns u/n^k into v/c with c = n^k/e, so w(c)
+    adds mu(e) over the (n, e) with n^k/e = c.  At k = 1, c = n/e and
+    w(c) = M(n_max // c), the Mertens function.  Zero weights are dropped.
+    """
     if not coprime:
-        return [[(1, 1)]] * (n_max + 1)
+        return {n**k: 1 for n in range(1, n_max + 1)}
     mu = mobius_upto(n_max)
-    divs: list[list[tuple[int, int]]] = [[] for _ in range(n_max + 1)]
+    weights: dict[int, int] = {}
     for e in range(1, n_max + 1):
         if mu[e]:
             for n in range(e, n_max + 1, e):
-                divs[n].append((e, mu[e]))
-    return divs
+                c = n**k // e
+                weights[c] = weights.get(c, 0) + mu[e]
+    return {c: w for c, w in weights.items() if w}
 
 
-def _near(c1: int, c2: int, x0: int, x1: int, y0: int, y1: int, yp: int, yq: int) -> int:
-    """#{x0 <= x <= x1, y0 <= y <= y1 : |x/c1 - y/c2| <= yq/yp}, one strip.
+def _near(c1: int, c2: int, x0: int, x1: int, y0: int, y1: int, yp: int, yq: int,
+          shifts: Sequence[int] = (0,)) -> int:
+    """#{x0 <= x <= x1, y0 <= y <= y1 : |x/c1 - y/c2 - s| <= yq/yp for some s in shifts}.
 
-    Scaled to l = lcm(c1, c2) the test reads
-    |(l/c1)*x - (l/c2)*y| <= floor(yq*l/yp).
+    Scaled to l = lcm(c1, c2), each shift is one strip
+    |(l/c1)*x - (l/c2)*y - s*l| <= floor(yq*l/yp); the strips are disjoint
+    while yq/yp < 1/2, and one that misses the span of (l/c1)*x - (l/c2)*y
+    over the box holds no point.
     """
     l = math.lcm(c1, c2)
     reach = yq * l // yp
-    return _strip(l // c1, l // c2, x0, x1, y0, y1, -reach, reach)
-
-
-# A sorted sweep spends about four strips' time on each tuple it lists
-# (20-35 us per tuple against 6-10 us per strip for k = 1 to 4), so the
-# lattice count serves a query while its strips number at most four per tuple.
-STRIPS_PER_TUPLE = 4
-
-
-def _lattice_strips(divs: list[list[tuple[int, int]]], n_max: int, circle: bool) -> int:
-    """Strips the lattice count runs: one per unordered pair of bases and
-    divisor pair, three on the circle."""
-    sizes = [len(divs[n]) for n in range(1, n_max + 1)]
-    pairs = (sum(sizes) ** 2 + sum(s * s for s in sizes)) // 2
-    return 3 * pairs if circle else pairs
-
-
-def _interval_sweep(q: PairQuery) -> int:
-    """Ordered near-pair count by a two-pointer sweep over the sorted values."""
-    vals = sorted(f.value for f in enumerate_tuples(EnumerationSpec(q.k, q.n_max, q.coprime)))
-    t = 1 / q.y
-    line = _pairs_within(vals, vals, -t, t)
-    if q.metric == "line":
-        return line
-    # Circle wrap: distance 1 - d <= t admits pairs with d >= 1 - t, disjoint
-    # from d <= t since t < 1/2.  Values lie in (0, 1], so w - v > -1.
-    return line + 2 * _pairs_within(vals, vals, -1, t - 1)
-
-
-def _interval_lattice(q: PairQuery, divs: list[list[tuple[int, int]]]) -> int:
-    """Ordered near-pair count, one lattice-point count per pair of bases.
-
-    With the gcd filter, u_i = e_i*v_i over squarefree e_i | n_i (Moebius
-    inversion), so u_i/n_i^k = v_i/c_i with c_i = n_i^k/e_i and
-    1 <= v_i <= c_i.  The count is symmetric in (n1, n2), so each unordered
-    pair of bases is counted once.
-    """
-    yp, yq = q.y.numerator, q.y.denominator
-    circle = q.metric == "circle"
-    total = 0
-    for n1 in range(1, q.n_max + 1):
-        d1 = n1**q.k
-        for n2 in range(n1, q.n_max + 1):
-            d2 = n2**q.k
-            count = 0
-            for e1, mu1 in divs[n1]:
-                for e2, mu2 in divs[n2]:
-                    c1, c2 = d1 // e1, d2 // e2
-                    strips = _near(c1, c2, 1, c1, 1, c2, yp, yq)
-                    if circle:
-                        # Circle wrap, disjoint from the line strip since 1/y < 1/2:
-                        # |v1/c1 - v2/c2| >= 1 - 1/y, i.e. |(l/c1)*v1 - (l/c2)*v2| >= wrap,
-                        # where that difference lies in (-l, l).
-                        l = math.lcm(c1, c2)
-                        wrap = -((yq - yp) * l // yp)
-                        strips += (_strip(l // c1, l // c2, 1, c1, 1, c2, wrap, l)
-                                   + _strip(l // c1, l // c2, 1, c1, 1, c2, -l, -wrap))
-                    count += mu1 * mu2 * strips
-            total += count if n1 == n2 else 2 * count
-    return total
+    alpha, beta = l // c1, l // c2
+    low, high = alpha * x0 - beta * y1, alpha * x1 - beta * y0
+    count = 0
+    for s in shifts:
+        lo, hi = s * l - reach, s * l + reach
+        if lo <= high and hi >= low:
+            count += _strip(alpha, beta, x0, x1, y0, y1, lo, hi)
+    return count
 
 
 def count_pairs_interval(q: PairQuery, max_points: int | None = None) -> int:
-    """Exact ordered near-pair count, by lattice points or by a sorted sweep.
+    """Exact ordered near-pair count, one lattice count per pair of table entries.
 
-    The lattice count runs one strip per pair of bases and divisor pair,
-    the sweep lists every tuple; the cheaper of the two by STRIPS_PER_TUPLE
-    serves the query.  At k = 1 with the gcd filter the divisor pairs
-    outnumber the tuples 20- to 50-fold and the sweep serves; from k = 2 on,
-    bar a few small coprime circle queries, the lattice count does.
+    Each entry (c, w) of _reduced_denominators stands for the values v/c,
+    1 <= v <= c, with weight w, so the count is the sum of
+    w1*w2*#{|v1/c1 - v2/c2| <= 1/y} over ordered pairs of entries; the
+    count is symmetric in (c1, c2), so each unordered pair is counted once.
+    On the circle a distance d counts when |d - s| <= 1/y for s in
+    {-1, 0, 1}, three disjoint strips once 1/y < 1/2.
     """
     q.validate()
     tuples = _check_tuples(q.k, q.n_max, q.coprime, max_points, "count_pairs_interval")
-    circle = q.metric == "circle"
-    if circle and 1 / q.y >= HALF:
-        # every circle distance is at most 1/2 <= 1/y
-        return tuples**2
-    divs = _mobius_divisors(q.n_max, q.coprime)
-    if _lattice_strips(divs, q.n_max, circle) > STRIPS_PER_TUPLE * tuples:
-        return _interval_sweep(q)
-    return _interval_lattice(q, divs)
+    shifts = (0,)
+    if q.metric == "circle":
+        if 1 / q.y >= HALF:
+            # every circle distance is at most 1/2 <= 1/y
+            return tuples**2
+        shifts = (-1, 0, 1)
+    yp, yq = q.y.numerator, q.y.denominator
+    entries = list(_reduced_denominators(q.k, q.n_max, q.coprime).items())
+    total = 0
+    for i, (c1, w1) in enumerate(entries):
+        off = sum(w2 * _near(c1, c2, 1, c1, 1, c2, yp, yq, shifts) for c2, w2 in entries[i + 1:])
+        total += w1 * (w1 * _near(c1, c1, 1, c1, 1, c1, yp, yq, shifts) + 2 * off)
+    return total
 
 
 def count_pairs_bruteforce(q: PairQuery, max_points: int | None = None) -> int:
@@ -280,6 +249,12 @@ class DyadicBlockQuery:
             raise RangeError(f"threshold scale y must be positive, got {self.y}")
 
 
+# A sorted sweep spends about four strips' time on each tuple it lists
+# (20-35 us per tuple against 6-10 us per strip for k = 1 to 4), so the block
+# count runs its strips while they number at most four per tuple.
+STRIPS_PER_TUPLE = 4
+
+
 def _block_values(u_start: int, n_start: int, k: int, extra: int) -> list[Fraction]:
     return sorted(Fraction(u, n**k)
                   for n in range(n_start, 2 * n_start + extra)
@@ -291,9 +266,9 @@ def count_pairs_block(q: DyadicBlockQuery, closed: bool = False, max_points: int
 
     closed=True switches both ranges to the closed convention
     [U_i, 2U_i] x [N_i, 2N_i]; the half-open form is the default.  Each
-    pair of bases is one strip over the two u ranges, as in
-    count_pairs_interval; with few u per base the pairs of bases outnumber
-    the tuples, and a sorted sweep over the tuples of both sides serves.
+    pair of bases is one strip over the two u ranges; with few u per base
+    the pairs of bases outnumber the tuples, and a sorted sweep over the
+    tuples of both sides serves.
     """
     q.validate()
     extra = 1 if closed else 0
@@ -308,13 +283,6 @@ def count_pairs_block(q: DyadicBlockQuery, closed: bool = False, max_points: int
     return sum(_near(n1**q.k, n2**q.k, q.u1, 2 * q.u1 - 1 + extra, q.u2, 2 * q.u2 - 1 + extra, yp, yq)
                for n1 in range(q.n1, 2 * q.n1 + extra)
                for n2 in range(q.n2, 2 * q.n2 + extra))
-
-
-def count_pairs_block_single(u_start: int, n_start: int, k: int, y: Fraction,
-                             closed: bool = False, max_points: int | None = None) -> int:
-    """Diagonal special case J_k(U, N, Y) with both boxes equal."""
-    q = DyadicBlockQuery(k, u_start, n_start, u_start, n_start, y)
-    return count_pairs_block(q, closed=closed, max_points=max_points)
 
 
 @dataclass(frozen=True)
@@ -482,33 +450,31 @@ def window_count(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool = T
                  max_points: int | None = None) -> int:
     """Exact number of tuples whose value lies within circle distance 1/y of x.
 
-    For each base n the values u/n^k within 1/y of x + s, s in {-1, 0, 1},
-    form one run of u, clipped to [1, n^k]; the three runs are disjoint once
-    1/y < 1/2.  The gcd filter counts each run by Moebius inversion over the
-    squarefree divisors of n.
+    For each entry (m, w) of _reduced_denominators the values v/m within
+    1/y of x + s, s in {-1, 0, 1}, form one run of v, clipped to [1, m],
+    and count w times; the three runs are disjoint once 1/y < 1/2.
     """
     if y <= 0:
         raise RangeError(f"threshold scale y must be positive, got {y}")
-    _check_tuples(k, n_max, coprime, max_points, "window_count")
+    tuples = _check_tuples(k, n_max, coprime, max_points, "window_count")
     if 1 / y >= HALF:
         # every circle distance is at most 1/2 <= 1/y
-        return tuple_count(k, n_max, coprime)
-    # x = a/b in [0, 1); u/n^k within t = c/d of x + s  <=>
-    # ((a + s*b)*d - b*c) * n^k <= u * b*d <= ((a + s*b)*d + b*c) * n^k
+        return tuples
+    # x = a/b in [0, 1); v/m within t = c/d of x + s  <=>
+    # ((a + s*b)*d - b*c) * m <= v * b*d <= ((a + s*b)*d + b*c) * m
     x = x % 1
     a, b = x.numerator, x.denominator
     c, d = y.denominator, y.numerator
     bd = b * d
-    centres = [(a + s * b) * d for s in (-1, 0, 1)]
-    divs = _mobius_divisors(n_max, coprime)
+    edges = [((a + s * b) * d - b * c, (a + s * b) * d + b * c) for s in (-1, 0, 1)]
+    edges = [(low, high) for low, high in edges if high > 0 and low <= bd]  # meet (0, 1]
     count = 0
-    for n in range(1, n_max + 1):
-        nk = n**k
-        for centre in centres:
-            hi = min((centre + b * c) * nk // bd, nk)
-            below = max(-((b * c - centre) * nk // bd) - 1, 0)  # ceil(lower edge) - 1
+    for m, w in _reduced_denominators(k, n_max, coprime).items():
+        for low, high in edges:
+            hi = min(high * m // bd, m)
+            below = max(-(-low * m // bd) - 1, 0)  # ceil(lower edge) - 1
             if hi > below:
-                count += sum(mu * (hi // e - below // e) for e, mu in divs[n])
+                count += w * (hi - below)
     return count
 
 

@@ -32,7 +32,6 @@ from powfrac.paircount import (
     DyadicBlockQuery,
     PairQuery,
     count_pairs_block,
-    count_pairs_block_single,
     count_pairs_bruteforce,
     count_pairs_interval,
     coverage_profile,
@@ -108,8 +107,8 @@ def test_criterion_03_block_constant_three():
         u2 = rng.randint(1, (2 * n2) ** k)
         y = Fraction(rng.randint(1, 4 ** (k + 1)), rng.randint(1, 5))
         j = count_pairs_block(DyadicBlockQuery(k, u1, n1, u2, n2, y))
-        j1 = count_pairs_block_single(u1, n1, k, y)
-        j2 = count_pairs_block_single(u2, n2, k, y)
+        j1 = count_pairs_block(DyadicBlockQuery(k, u1, n1, u1, n1, y))
+        j2 = count_pairs_block(DyadicBlockQuery(k, u2, n2, u2, n2, y))
         if j * j > 9 * j1 * j2:
             violations += 1
     _verdict(3, violations == 0,

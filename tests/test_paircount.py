@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from powfrac import paircount
 from powfrac import (CoverageProfile, DyadicBlockQuery, EnumerationSpec, MultiplicativeNearQuery,
                      PairQuery, RangeError, ReciprocalPairQuery, ResourceError, circle_distance,
-                     count_multiplicative_near, count_pairs_block,
-                     count_pairs_block_single, count_pairs_bruteforce,
+                     count_multiplicative_near, count_pairs_block, count_pairs_bruteforce,
                      count_pairs_interval, count_pairs_reciprocal, coverage_profile,
                      enumerate_tuples, exceptional_measure, sharpness_study, tuple_count,
                      window_count)
@@ -135,8 +134,8 @@ def test_block_three_constant_inequality_sample():
         u2 = rng.randint(1, (2 * n2) ** k)
         y = _random_rational(rng, 1, (2 * max(n1, n2)) ** (2 * k))
         j = count_pairs_block(DyadicBlockQuery(k, u1, n1, u2, n2, y))
-        j1 = count_pairs_block_single(u1, n1, k, y)
-        j2 = count_pairs_block_single(u2, n2, k, y)
+        j1 = count_pairs_block(DyadicBlockQuery(k, u1, n1, u1, n1, y))
+        j2 = count_pairs_block(DyadicBlockQuery(k, u2, n2, u2, n2, y))
         assert j * j <= 9 * j1 * j2
 
 
@@ -277,19 +276,19 @@ def test_interval_sweep_matches_bruteforce(q):
     assert count_pairs_interval(q) == count_pairs_bruteforce(q)
 
 
-# STRIPS_PER_TUPLE = 0 sends every query to the sorted sweep, a huge value
-# to the lattice count, so each path meets the oracle on every drawn query.
-_SWEEP, _LATTICE = 0, 10**9
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(pair_queries())
-def test_interval_both_paths_match_bruteforce(q):
-    expected = count_pairs_bruteforce(q)
-    for strips in (_SWEEP, _LATTICE):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(paircount, "STRIPS_PER_TUPLE", strips)
-            assert count_pairs_interval(q) == expected, strips
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("coprime", [False, True])
+def test_reduced_denominator_table(k, coprime):
+    """The weighted table stands for every tuple once, and its strips stay
+    within a fixed multiple of the tuple count the cap bounds."""
+    for n_max in range(1, 61):
+        table = paircount._reduced_denominators(k, n_max, coprime)
+        tuples = tuple_count(k, n_max, coprime)
+        assert sum(w * c for c, w in table.items()) == tuples, n_max
+        assert all(table.values()), n_max
+        size = len(table)
+        # circle strips: three per unordered pair of entries
+        assert 3 * size * (size + 1) // 2 <= 6 * tuples, n_max
 
 
 def _block_side(u_start: int, n_start: int, k: int, closed: bool) -> list[tuple[int, int]]:
@@ -316,6 +315,11 @@ def test_block_sweep_matches_cross_multiplication(case):
                    for u2, d2 in _block_side(q.u2, q.n2, q.k, closed)
                    if abs(u1 * d2 - u2 * d1) * yp <= yq * d1 * d2)
     assert count_pairs_block(q, closed=closed) == expected
+
+
+# STRIPS_PER_TUPLE = 0 sends every block query to the sorted sweep, a huge
+# value to the lattice count, so each path meets the oracle on every drawn query.
+_SWEEP, _LATTICE = 0, 10**9
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
@@ -426,7 +430,7 @@ def _swept_count(vals: list, y: Fraction, metric: str) -> int:
     return line if metric == "line" else line + 2 * paircount._pairs_within(vals, vals, -1, t - 1)
 
 
-@pytest.mark.parametrize("k, n_max, coprime", [(2, 24, False), (3, 10, True)])
+@pytest.mark.parametrize("k, n_max, coprime", [(2, 24, False), (3, 10, True), (1, 60, True)])
 def test_interval_matches_sorted_sweep_mid_size(k, n_max, coprime):
     vals = sorted(f.value for f in enumerate_tuples(EnumerationSpec(k, n_max, coprime)))
     critical = n_max ** (k + 1)
@@ -441,31 +445,32 @@ def test_lattice_counts_never_enumerate(monkeypatch):
     def refuse(*spec):
         raise AssertionError(f"enumerated {spec}")
 
+    # k = 1 with the gcd filter, and small coprime queries, where the strips
+    # come closest to the bound of six per tuple, against the oracle
+    few_tuples = [PairQuery(1, 30, Fraction(900), True, "line"),
+                  PairQuery(1, 30, Fraction(900), True, "circle"),
+                  PairQuery(2, 6, Fraction(216), True, "line"),
+                  PairQuery(2, 6, Fraction(216), True, "circle")]
+    expected = [count_pairs_bruteforce(q) for q in few_tuples]
     monkeypatch.setattr(paircount, "enumerate_tuples", refuse)
     monkeypatch.setattr(paircount, "_block_values", refuse)
     for coprime in (False, True):
         for metric in ("line", "circle"):
             assert count_pairs_interval(PairQuery(2, 30, Fraction(27000), coprime, metric)) > 0
-    # two strips per tuple on the line, six on the circle (next test)
-    assert count_pairs_interval(PairQuery(2, 6, Fraction(216), True)) > 0
+    assert [count_pairs_interval(q) for q in few_tuples] == expected
     assert window_count(2, 30, Fraction(1, 3), Fraction(900)) > 0
     assert count_pairs_block(DyadicBlockQuery(2, 100, 8, 120, 9, Fraction(10**5))) > 0
     assert len(sharpness_study(2, [10, 20, 30])) == 3
 
 
 def test_sweep_serves_where_strips_outnumber_tuples(monkeypatch):
-    """k = 1 with the gcd filter, and blocks with one u per base, have many
-    more strips than tuples; the sorted sweep counts them, so the work stays
-    within the capped tuple count."""
+    """Blocks with one u per base have many more pairs of bases than tuples;
+    the sorted sweep counts them, so the work stays within the capped tuple
+    count."""
     def refuse(*args):
         raise AssertionError("ran the lattice count")
 
-    monkeypatch.setattr(paircount, "_interval_lattice", refuse)
     monkeypatch.setattr(paircount, "_near", refuse)
-    for q in (PairQuery(1, 30, Fraction(900), True, "line"),
-              PairQuery(1, 30, Fraction(900), True, "circle"),
-              PairQuery(2, 6, Fraction(216), True, "circle")):
-        assert count_pairs_interval(q) == count_pairs_bruteforce(q)
     # 10^4 tuples 1/n a side, 10^8 pairs of bases: the strips would never
     # finish.  Neighbours 1/n, 1/(n+1) are within 1/y once n(n+1) >= y, that
     # is for n >= 15000; values two apart never are, as 2/(n(n+2)) > 1/y.
