@@ -5,19 +5,16 @@ arithmetic; floats appear only in report diagnostics, never in a
 comparison that decides a count.  Boundary ties (distance exactly equal
 to the threshold) are always included.
 
-Near-pair and block counts are lattice-point counts.  For denominators
-c1, c2, the pairs |v1/c1 - v2/c2| <= 1/y are the lattice points of a
-strip, counted by floor sums in O(log) steps.  Near-pair and window counts
-run over one table of reduced denominators c with integer weights w(c):
-w(n^k) = 1 without the gcd filter, and with it the Moebius sum, where
-u = e*v over squarefree e | n turns u/n^k into v/c with c = n^k/e.  At
-k = 1 that gives w(c) = M(N // c), the Mertens function, so the table has
-at most N entries.  A near-pair count runs one strip per unordered pair of
-entries (up to three on the circle), at most six per tuple, so its work stays
-within a fixed multiple of the tuple count the cap bounds; neither count
-lists the fractions.  Block counts run one strip per pair of bases, or a
-sorted sweep over the tuples where the pairs of bases outnumber them by
-more than STRIPS_PER_TUPLE.
+Near-pair and window counts run over one table of reduced denominators c
+with integer weights w(c): w(n^k) = 1 without the gcd filter, and with it
+the Moebius sum, where u = e*v over squarefree e | n turns u/n^k into v/c
+with c = n^k/e (at k = 1, w(c) = M(N // c), the Mertens function).  Each
+entry stands for the complete residue system v = 1..c, so a near-pair count
+costs one gcd per pair of entries and a window count one floor difference
+per entry; neither lists the fractions.  Block counts range over dyadic
+boxes, which are not complete residue systems: one lattice strip per pair
+of bases (floor sums in O(log) steps), or a sorted sweep over the tuples
+where the pairs of bases outnumber them by more than STRIPS_PER_TUPLE.
 """
 
 from __future__ import annotations
@@ -161,51 +158,64 @@ def _reduced_denominators(k: int, n_max: int, coprime: bool) -> dict[int, int]:
     return {c: w for c, w in weights.items() if w}
 
 
-def _near(c1: int, c2: int, x0: int, x1: int, y0: int, y1: int, yp: int, yq: int,
-          shifts: Sequence[int] = (0,)) -> int:
-    """#{x0 <= x <= x1, y0 <= y <= y1 : |x/c1 - y/c2 - s| <= yq/yp for some s in shifts}.
-
-    Scaled to l = lcm(c1, c2), each shift is one strip
-    |(l/c1)*x - (l/c2)*y - s*l| <= floor(yq*l/yp); the strips are disjoint
-    while yq/yp < 1/2, and one that misses the span of (l/c1)*x - (l/c2)*y
-    over the box holds no point.
-    """
+def _near(c1: int, c2: int, x0: int, x1: int, y0: int, y1: int, yp: int, yq: int) -> int:
+    """#{x0 <= x <= x1, y0 <= y <= y1 : |x/c1 - y/c2| <= yq/yp}, one strip."""
     l = math.lcm(c1, c2)
     reach = yq * l // yp
-    alpha, beta = l // c1, l // c2
-    low, high = alpha * x0 - beta * y1, alpha * x1 - beta * y0
-    count = 0
-    for s in shifts:
-        lo, hi = s * l - reach, s * l + reach
-        if lo <= high and hi >= low:
-            count += _strip(alpha, beta, x0, x1, y0, y1, lo, hi)
+    return _strip(l // c1, l // c2, x0, x1, y0, y1, -reach, reach)
+
+
+def _corner(alpha: int, beta: int, m: int) -> int:
+    """#{x >= 0, y >= 1 : alpha*x + beta*y <= m} for alpha, beta >= 1, m >= 0.
+
+    Each y = 1..m // beta leaves the x = 0..(m - beta*y) // alpha.
+    """
+    n = m // beta
+    return n + _floor_sum(n, alpha, -beta, m - beta)
+
+
+def _pair_count(c1: int, c2: int, yp: int, yq: int, circle: bool) -> int:
+    """#{1 <= v1 <= c1, 1 <= v2 <= c2 : |v1/c1 - v2/c2| <= yq/yp}, on the line or circle.
+
+    With g = gcd(c1, c2), l = lcm(c1, c2), alpha = l/c1 and beta = l/c2, the
+    difference D = alpha*v1 - beta*v2, |D| < l, hits each residue mod l g
+    times, as v1 and v2 run over complete residue systems and
+    gcd(alpha, beta) = 1.  The circle counts D within R = floor(l*yq/yp) of
+    0 mod l (R past l - 1 changes nothing).  The line drops |D| >= l - m,
+    m = min(R, l - R - 1); with x = c1 - v1, y = v2, D >= l - m reads
+    alpha*x + beta*y <= m, and D <= m - l the same with c1, c2 swapped.
+    """
+    g = math.gcd(c1, c2)
+    l = c1 // g * c2
+    reach = min(yq * l // yp, l - 1)
+    count = g * min(2 * reach + 1, l)
+    if not circle:
+        alpha, beta = c2 // g, c1 // g
+        m = min(reach, l - reach - 1)
+        count -= _corner(alpha, beta, m) + _corner(beta, alpha, m)
     return count
 
 
 def count_pairs_interval(q: PairQuery, max_points: int | None = None) -> int:
-    """Exact ordered near-pair count, one lattice count per pair of table entries.
+    """Exact ordered near-pair count, one closed form per pair of table entries.
 
     Each entry (c, w) of _reduced_denominators stands for the values v/c,
     1 <= v <= c, with weight w, so the count is the sum of
-    w1*w2*#{|v1/c1 - v2/c2| <= 1/y} over ordered pairs of entries; the
-    count is symmetric in (c1, c2), so each unordered pair is counted once.
-    On the circle a distance d counts when |d - s| <= 1/y for s in
-    {-1, 0, 1}, three disjoint strips once 1/y < 1/2.
+    w1*w2*_pair_count(c1, c2) over ordered pairs of entries; the count is
+    symmetric in (c1, c2), so each unordered pair is counted once.
     """
     q.validate()
     tuples = _check_tuples(q.k, q.n_max, q.coprime, max_points, "count_pairs_interval")
-    shifts = (0,)
-    if q.metric == "circle":
-        if 1 / q.y >= HALF:
-            # every circle distance is at most 1/2 <= 1/y
-            return tuples**2
-        shifts = (-1, 0, 1)
+    circle = q.metric == "circle"
+    if circle and 1 / q.y >= HALF:
+        # every circle distance is at most 1/2 <= 1/y
+        return tuples**2
     yp, yq = q.y.numerator, q.y.denominator
     entries = list(_reduced_denominators(q.k, q.n_max, q.coprime).items())
     total = 0
     for i, (c1, w1) in enumerate(entries):
-        off = sum(w2 * _near(c1, c2, 1, c1, 1, c2, yp, yq, shifts) for c2, w2 in entries[i + 1:])
-        total += w1 * (w1 * _near(c1, c1, 1, c1, 1, c1, yp, yq, shifts) + 2 * off)
+        off = sum(w2 * _pair_count(c1, c2, yp, yq, circle) for c2, w2 in entries[i + 1:])
+        total += w1 * (w1 * _pair_count(c1, c1, yp, yq, circle) + 2 * off)
     return total
 
 
@@ -450,9 +460,9 @@ def window_count(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool = T
                  max_points: int | None = None) -> int:
     """Exact number of tuples whose value lies within circle distance 1/y of x.
 
-    For each entry (m, w) of _reduced_denominators the values v/m within
-    1/y of x + s, s in {-1, 0, 1}, form one run of v, clipped to [1, m],
-    and count w times; the three runs are disjoint once 1/y < 1/2.
+    For each entry (c, w) of _reduced_denominators the v = 1..c with v/c
+    within 1/y of x on the circle stand one to one for the integers j in
+    [c*(x - 1/y), c*(x + 1/y)], v = j mod c, and count w times.
     """
     if y <= 0:
         raise RangeError(f"threshold scale y must be positive, got {y}")
@@ -460,22 +470,11 @@ def window_count(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool = T
     if 1 / y >= HALF:
         # every circle distance is at most 1/2 <= 1/y
         return tuples
-    # x = a/b in [0, 1); v/m within t = c/d of x + s  <=>
-    # ((a + s*b)*d - b*c) * m <= v * b*d <= ((a + s*b)*d + b*c) * m
-    x = x % 1
-    a, b = x.numerator, x.denominator
-    c, d = y.denominator, y.numerator
-    bd = b * d
-    edges = [((a + s * b) * d - b * c, (a + s * b) * d + b * c) for s in (-1, 0, 1)]
-    edges = [(low, high) for low, high in edges if high > 0 and low <= bd]  # meet (0, 1]
-    count = 0
-    for m, w in _reduced_denominators(k, n_max, coprime).items():
-        for low, high in edges:
-            hi = min(high * m // bd, m)
-            below = max(-(-low * m // bd) - 1, 0)  # ceil(lower edge) - 1
-            if hi > below:
-                count += w * (hi - below)
-    return count
+    a, b, yp, yq = x.numerator, x.denominator, y.numerator, y.denominator
+    # x -+ 1/y = (a*yp -+ b*yq) / (b*yp); as 1/y < 1/2, no two integers agree mod c
+    low, high, den = a * yp - b * yq, a * yp + b * yq, b * yp
+    return sum(w * (high * c // den + (-low * c // den) + 1)
+               for c, w in _reduced_denominators(k, n_max, coprime).items())
 
 
 def exceptional_measure(profile: CoverageProfile, t_threshold: int) -> Fraction:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,33 @@ def test_sharpness_study_rows():
     assert all(isinstance(r["log_slope"], float) for r in rows[1:])
 
 
+def _pair_distances(c1: int, c2: int, circle: bool) -> list[Fraction]:
+    """Sorted exact distances |v1/c1 - v2/c2|, 1 <= v_i <= c_i, by a double loop."""
+    dists = []
+    for v1 in range(1, c1 + 1):
+        for v2 in range(1, c2 + 1):
+            d = abs(Fraction(v1, c1) - Fraction(v2, c2))
+            dists.append(min(d, 1 - d) if circle else d)
+    return sorted(dists)
+
+
+def test_pair_closed_form_matches_double_loop():
+    """One pair of table entries against its double loop, at t = R/l and
+    (R + 1/2)/l for R = 0..l+1 with l = lcm(c1, c2): ties at every reach, the
+    triangle edges R = beta - 1 and R = beta, the halves 2R = l - 1 and 2R = l,
+    everything past l; and at a threshold with a 31-digit denominator."""
+    for c1 in range(1, 13):
+        for c2 in range(1, 13):
+            l = math.lcm(c1, c2)
+            ts = [Fraction(r, 2 * l) for r in range(2 * l + 4)] + [Fraction(1, 10**30 + 7)]
+            for circle in (False, True):
+                dists = _pair_distances(c1, c2, circle)
+                for t in ts:
+                    # t = yq/yp; t = 0 counts the coincident pairs
+                    got = paircount._pair_count(c1, c2, t.denominator, t.numerator, circle)
+                    assert got == bisect_right(dists, t), (c1, c2, t, circle)
+
+
 # Property tests: every caller of the shared window sweep against a double loop.
 # Thresholds sit on the exact gap between two drawn values, so pairs tie at the
 # window edges; two coincident values fall back to a drawn threshold.
@@ -279,16 +307,16 @@ def test_interval_sweep_matches_bruteforce(q):
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 @pytest.mark.parametrize("coprime", [False, True])
 def test_reduced_denominator_table(k, coprime):
-    """The weighted table stands for every tuple once, and its strips stay
-    within a fixed multiple of the tuple count the cap bounds."""
+    """The weighted table stands for every tuple once, and its pairs of
+    entries stay within a fixed multiple of the tuple count the cap bounds."""
     for n_max in range(1, 61):
         table = paircount._reduced_denominators(k, n_max, coprime)
         tuples = tuple_count(k, n_max, coprime)
         assert sum(w * c for c, w in table.items()) == tuples, n_max
         assert all(table.values()), n_max
         size = len(table)
-        # circle strips: three per unordered pair of entries
-        assert 3 * size * (size + 1) // 2 <= 6 * tuples, n_max
+        # one closed form per unordered pair of entries
+        assert size * (size + 1) // 2 <= 2 * tuples, n_max
 
 
 def _block_side(u_start: int, n_start: int, k: int, closed: bool) -> list[tuple[int, int]]:
@@ -443,10 +471,10 @@ def test_interval_matches_sorted_sweep_mid_size(k, n_max, coprime):
 
 def test_lattice_counts_never_enumerate(monkeypatch):
     def refuse(*spec):
-        raise AssertionError(f"enumerated {spec}")
+        raise AssertionError(f"reached {spec}")
 
-    # k = 1 with the gcd filter, and small coprime queries, where the strips
-    # come closest to the bound of six per tuple, against the oracle
+    # k = 1 with the gcd filter, and small coprime queries, whose tables
+    # carry negative Moebius weights, against the oracle
     few_tuples = [PairQuery(1, 30, Fraction(900), True, "line"),
                   PairQuery(1, 30, Fraction(900), True, "circle"),
                   PairQuery(2, 6, Fraction(216), True, "line"),
@@ -454,12 +482,16 @@ def test_lattice_counts_never_enumerate(monkeypatch):
     expected = [count_pairs_bruteforce(q) for q in few_tuples]
     monkeypatch.setattr(paircount, "enumerate_tuples", refuse)
     monkeypatch.setattr(paircount, "_block_values", refuse)
+    assert count_pairs_block(DyadicBlockQuery(2, 100, 8, 120, 9, Fraction(10**5))) > 0
+    # near-pair and window counts are closed forms over complete residue
+    # systems: no lattice strip either
+    monkeypatch.setattr(paircount, "_near", refuse)
+    monkeypatch.setattr(paircount, "_strip", refuse)
     for coprime in (False, True):
         for metric in ("line", "circle"):
             assert count_pairs_interval(PairQuery(2, 30, Fraction(27000), coprime, metric)) > 0
     assert [count_pairs_interval(q) for q in few_tuples] == expected
     assert window_count(2, 30, Fraction(1, 3), Fraction(900)) > 0
-    assert count_pairs_block(DyadicBlockQuery(2, 100, 8, 120, 9, Fraction(10**5))) > 0
     assert len(sharpness_study(2, [10, 20, 30])) == 3
 
 
