@@ -26,8 +26,8 @@ import numpy as np
 
 from . import expsum, paircount, sieve
 from .errors import CoprimalityError, DimensionError, RangeError, ResourceError
-from .fraccore import (EnumerationSpec, enumerate_tuples, format_rational, parse_rational,
-                       tuple_count_upto)
+from .fraccore import (EnumerationSpec, check_work, enumerate_tuples, format_rational,
+                       parse_rational, tuple_count_upto)
 
 SCHEMA = 1
 
@@ -68,18 +68,11 @@ def _emit(args, report: dict, csv_lines: list[str] | None) -> None:
     print(report["summary"], file=summary_stream)
 
 
-def _cap() -> int | None:
-    env = os.environ.get("POWFRAC_MAX_POINTS")
-    return int(env) if env else None
-
-
 def cmd_enumerate(args):
     spec = EnumerationSpec(args.k, args.n_max, args.coprime, args.sorted)
     spec.validate()
-    cap = _cap()
-    count = tuple_count_upto(spec.k, spec.n_max, spec.coprime, math.inf if cap is None else cap)
-    if cap is not None and count > cap:
-        raise ResourceError(f"enumerate: at least {count} tuples exceeds cap {cap}")
+    count = check_work(lambda cap: tuple_count_upto(spec.k, spec.n_max, spec.coprime, cap),
+                       None, "enumerate tuples")
     shown = list(islice(enumerate_tuples(spec), args.limit))
     fields = {"k": args.k, "n_max": args.n_max, "coprime": args.coprime, "sorted": args.sorted,
               "count": count, "truncated": len(shown) < count,
@@ -90,9 +83,9 @@ def cmd_enumerate(args):
 def cmd_pairs(args):
     q = paircount.PairQuery(args.k, args.n_max, args.y, args.coprime, args.metric)
     if args.method == "oracle":
-        count = paircount.count_pairs_bruteforce(q, _cap())
+        count = paircount.count_pairs_bruteforce(q)
     else:
-        count = paircount.count_pairs_interval(q, _cap())
+        count = paircount.count_pairs_interval(q)
     y = format_rational(args.y)
     fields = {"query": {"k": args.k, "n_max": args.n_max, "y": y, "coprime": args.coprime,
                         "metric": args.metric}, "count": count, "method": args.method}
@@ -101,23 +94,21 @@ def cmd_pairs(args):
 
 def cmd_blocks(args):
     q = paircount.DyadicBlockQuery(args.k, args.u1, args.n1, args.u2, args.n2, args.y)
-    count = paircount.count_pairs_block(q, closed=args.closed, max_points=_cap())
+    count = paircount.count_pairs_block(q, closed=args.closed)
     fields = {"query": {"k": args.k, "u1": args.u1, "n1": args.n1, "u2": args.u2, "n2": args.n2,
                         "y": format_rational(args.y)}, "closed": args.closed, "count": count}
     return fields, f"blocks: count={count}", None
 
 
 def cmd_window(args):
-    count = paircount.window_count(args.k, args.n_max, args.x, args.y,
-                                   coprime=not args.no_coprime, max_points=_cap())
+    count = paircount.window_count(args.k, args.n_max, args.x, args.y, coprime=not args.no_coprime)
     fields = {"k": args.k, "n_max": args.n_max, "x": format_rational(args.x),
               "y": format_rational(args.y), "coprime": not args.no_coprime, "count": count}
     return fields, f"window: count={count} at x={format_rational(args.x)}", None
 
 
 def cmd_measure(args):
-    profile = paircount.coverage_profile(args.k, args.n_max, args.y,
-                                         coprime=not args.no_coprime, max_points=_cap())
+    profile = paircount.coverage_profile(args.k, args.n_max, args.y, coprime=not args.no_coprime)
     measure = paircount.exceptional_measure(profile, args.threshold)
     if args.profile_csv:
         with open(args.profile_csv, "w") as fh:
@@ -174,6 +165,8 @@ def cmd_kusmin(args):
 
 
 def cmd_meanvalue(args):
+    if args.k != 0 and args.n_lo <= 0 <= args.n_hi:
+        raise RangeError(f"phase u/n^{args.k} is undefined at n = 0 in [{args.n_lo}, {args.n_hi}]")
     spec = expsum.MeanValueSpec(phi=expsum.power_phase(args.k), i1=(args.n_lo, args.n_hi),
                                 i2=(args.u_lo, args.u_hi), y_max=args.y_max)
     value = expsum.mean_value_integral(spec)
@@ -187,7 +180,7 @@ def _sieve_problem(args) -> tuple[sieve.SieveProblem, dict]:
     """The validated problem and its report fields; refuses past the cap before any vector."""
     problem = sieve.SieveProblem(args.k, args.n_max, args.m_len, args.m_offset)
     problem.validate()
-    sieve.check_cap(problem, _cap())
+    sieve.check_cap(problem)
     fields = {"k": args.k, "n_max": args.n_max, "m_len": args.m_len, "m_offset": args.m_offset}
     return problem, fields
 
@@ -195,9 +188,9 @@ def _sieve_problem(args) -> tuple[sieve.SieveProblem, dict]:
 def cmd_sieve_delta(args):
     problem, fields = _sieve_problem(args)
     if args.method == "dense":
-        delta = sieve.dense_gram_eigenvalue(problem, _cap())
+        delta = sieve.dense_gram_eigenvalue(problem)
     else:
-        delta = sieve.sieve_gram_eigenvalue(problem, max_entries=_cap())
+        delta = sieve.sieve_gram_eigenvalue(problem)
     p_rows = sieve.row_count(problem)
     fields.update(method=args.method, p_rows=p_rows, delta=delta)
     return fields, f"sieve-delta: delta={delta:.8g} (P={p_rows}, M={args.m_len})", None
@@ -221,8 +214,8 @@ def _make_alpha(args) -> np.ndarray:
 def cmd_sieve_l1(args):
     problem, fields = _sieve_problem(args)
     alpha = _make_alpha(args)
-    value = sieve.l1_sieve_sum(problem, alpha, _cap())
-    delta = sieve.sieve_gram_eigenvalue(problem, max_entries=_cap())
+    value = sieve.l1_sieve_sum(problem, alpha)
+    delta = sieve.sieve_gram_eigenvalue(problem)
     cs_bound = math.sqrt(sieve.row_count(problem) * delta) * float(np.linalg.norm(alpha))
     fields.update(alpha_mode=args.alpha_mode, seed=args.seed, value=value, cs_bound=cs_bound,
                   within_cs=value <= cs_bound * (1 + 1e-9))
@@ -237,8 +230,8 @@ def cmd_sieve_dual(args):
     else:
         rng = np.random.default_rng(args.seed)
         coeffs = np.exp(2j * np.pi * rng.random(p_rows))
-    value = sieve.dual_quadratic_form(problem, coeffs, _cap())
-    delta = sieve.sieve_gram_eigenvalue(problem, max_entries=_cap())
+    value = sieve.dual_quadratic_form(problem, coeffs)
+    delta = sieve.sieve_gram_eigenvalue(problem)
     norm_sq = float(np.sum(np.abs(coeffs) ** 2))
     bound = delta * norm_sq
     fields.update(coeff_mode=args.coeff_mode, seed=args.seed, value=value, coeff_norm_sq=norm_sq,
@@ -255,8 +248,7 @@ def cmd_bounds(args):
 
 
 def cmd_sharpness_study(args):
-    rows = paircount.sharpness_study(args.k, args.n_list, coprime=args.coprime,
-                                     max_points=_cap())
+    rows = paircount.sharpness_study(args.k, args.n_list, coprime=args.coprime)
     csv_lines = ["n,count,ratio,log_slope"] + [
         f"{r['n']},{r['count']},{r['ratio']!r},{'' if r['log_slope'] is None else repr(r['log_slope'])}"
         for r in rows

@@ -157,11 +157,11 @@ class GenericPhase:
     d4f: Optional[Callable[[float], float]] = None
     df_increasing: Optional[bool] = None
 
-    def validate(self, rel_tol: float = 1e-6, points: int = 9) -> None:
+    def validate(self) -> None:
         """Check supplied derivatives against central differences of f.
 
-        Raises ValueError when a sampled derivative disagrees beyond
-        rel_tol (with a small absolute floor).
+        Raises ValueError when a derivative sampled at 9 interior points
+        disagrees beyond a relative 1e-6 (with a small absolute floor).
         """
         if not self.b > self.a:
             raise RangeError(f"need b > a, got [{self.a}, {self.b}]")
@@ -170,14 +170,14 @@ class GenericPhase:
             pairs.append((self.d2f, self.d3f))
         if self.d4f is not None and self.d3f is not None:
             pairs.append((self.d3f, self.d4f))
-        for i in range(1, points + 1):
-            x = self.a + (self.b - self.a) * i / (points + 1)
+        for i in range(1, 10):
+            x = self.a + (self.b - self.a) * i / 10
             h = 6e-6 * max(1.0, abs(x))
             for base, deriv in pairs:
                 fd = (base(x + h) - base(x - h)) / (2 * h)
                 claimed = deriv(x)
                 scale = max(abs(claimed), abs(fd), 1e-9)
-                if abs(fd - claimed) > rel_tol * scale:
+                if abs(fd - claimed) > 1e-6 * scale:
                     raise ValueError(
                         f"derivative mismatch at x={x}: finite difference {fd}, claimed {claimed}"
                     )
@@ -202,8 +202,8 @@ def direct_phase_sum(g: GenericPhase) -> complex:
     return _phase_sum(g.f, _interior_integers(g.a, g.b))
 
 
-def _solve_df_equals(g: GenericPhase, m: int, tol: float = 1e-12) -> float:
-    """Root of f'(x) = m on [a, b] by bisection plus Newton polish."""
+def _solve_df_equals(g: GenericPhase, m: int) -> float:
+    """Root of f'(x) = m on [a, b] by bisection plus Newton polish, to |f'(x) - m| <= 1e-12."""
     lo, hi = g.a, g.b
     s_lo = g.df(lo) - m
     s_hi = g.df(hi) - m
@@ -218,7 +218,7 @@ def _solve_df_equals(g: GenericPhase, m: int, tol: float = 1e-12) -> float:
     x = 0.5 * (lo + hi)
     for _ in range(200):
         v = g.df(x) - m
-        if abs(v) <= tol:
+        if abs(v) <= 1e-12:
             break
         if (v > 0) == (s_lo > 0):
             lo = x
@@ -237,18 +237,19 @@ def _solve_df_equals(g: GenericPhase, m: int, tol: float = 1e-12) -> float:
     return x
 
 
-def stationary_phase_generic(g: GenericPhase, samples: int = 33) -> tuple[complex, float]:
+def stationary_phase_generic(g: GenericPhase) -> tuple[complex, float]:
     """Dual sum over integers m strictly between f'(a) and f'(b).
 
     Each stationary point x_m (root of f'(x) = m) contributes
     |f''(x_m)|**(-1/2) * e(f(x_m) - m*x_m + sigma/8) with sigma the sign
     of f''.  Returns (value, budget) with budget
-    1/sqrt(min sampled |f''|) + log(|f'(b) - f'(a)| + 2).
+    1/sqrt(min |f''|) + log(|f'(b) - f'(a)| + 2), f' and f'' sampled at 33
+    equally spaced points of [a, b].
     """
     fa = g.df(g.a)
     fb = g.df(g.b)
     lo_val, hi_val = min(fa, fb), max(fa, fb)
-    xs = [g.a + (g.b - g.a) * i / (samples - 1) for i in range(samples)]
+    xs = [g.a + (g.b - g.a) * i / 32 for i in range(33)]
     increasing = g.df_increasing if g.df_increasing is not None else fb >= fa
     dvals = [g.df(x) for x in xs]
     slack = 1e-9 * max(1.0, abs(fb - fa))
@@ -279,17 +280,18 @@ class KusminReport:
     passed: bool
 
 
-def kusmin_landau_check(g: GenericPhase, lam: float, sample_cap: int = 2000) -> KusminReport:
+def kusmin_landau_check(g: GenericPhase, lam: float) -> KusminReport:
     """|sum of e(f(n)) over a <= n <= b| against the bound cot(pi*lam/2).
 
     The hypothesis (f' monotone, circle distance of f' to the integers
-    at least lam) is the caller's to assert; sampled values of f' are
-    spot-checked and a RangeError is raised on violation.
+    at least lam) is the caller's to assert; f' is spot-checked at every
+    n, or every (len // 2000)-th n on ranges of 4000 integers or more, and
+    a RangeError is raised on violation.
     """
     if not 0 < lam < 1:
         raise RangeError(f"lam must lie in (0, 1), got {lam}")
     ns = range(math.ceil(g.a), math.floor(g.b) + 1)
-    step = max(1, len(ns) // sample_cap)
+    step = max(1, len(ns) // 2000)
     for n in list(ns)[::step]:
         d = g.df(n)
         dist = abs(d - round(d))

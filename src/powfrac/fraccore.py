@@ -9,13 +9,15 @@ order or a count.
 from __future__ import annotations
 
 import heapq
+import math
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .errors import CoprimalityError, RangeError
+from .errors import CoprimalityError, RangeError, ResourceError
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
 
@@ -161,6 +163,20 @@ def tuple_count_upto(k: int, n_max: int, coprime: bool, cap: int) -> int:
         if total > cap:
             break
     return total
+
+
+def check_work(count_upto: Callable[[float], int], default: int | None, what: str) -> int:
+    """The predicted work, refused with ResourceError past the cap: the integer in
+    POWFRAC_MAX_POINTS, else the caller's default (None: no cap).  count_upto(cap)
+    returns the exact work when it is at most cap, else any amount past cap, so a
+    refusal may stop counting as soon as the count passes it.
+    """
+    env = os.environ.get("POWFRAC_MAX_POINTS")
+    cap = int(env) if env else default
+    work = count_upto(math.inf if cap is None else cap)
+    if cap is not None and work > cap:
+        raise ResourceError(f"{what}: predicted at least {work} exceeds cap {cap}")
+    return work
 
 
 def _per_base_stream(n: int, k: int, coprime: bool) -> Iterator[PowerFraction]:

@@ -26,35 +26,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import RangeError, ResourceError
-from .fraccore import (EnumerationSpec, circle_distance, enumerate_tuples, mobius_upto,
-                       tuple_count_upto)
+from .errors import RangeError
+from .fraccore import EnumerationSpec, check_work, enumerate_tuples, mobius_upto, tuple_count_upto
 
-# Soft cap on enumerated tuples; callers may override per call.
+# Cap on the tuples a count predicts, unless POWFRAC_MAX_POINTS sets another.
 DEFAULT_MAX_POINTS = 2_000_000
 
 HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
 
-def _resolve_cap(max_points: int | None) -> int:
-    return DEFAULT_MAX_POINTS if max_points is None else max_points
-
-
-def _check_cap(predicted: int, max_points: int | None, what: str) -> None:
-    cap = _resolve_cap(max_points)
-    if predicted > cap:
-        raise ResourceError(f"{what}: predicted at least {predicted} tuples exceeds cap {cap}")
-
-
-def _check_tuples(k: int, n_max: int, coprime: bool, max_points: int | None, what: str) -> int:
+def _check_tuples(k: int, n_max: int, coprime: bool, what: str) -> int:
     """Refuse an enumeration past the cap, summing per-base counts only until it passes.
 
     Returns the tuple count, which is exact whenever it does not raise.
     """
-    predicted = tuple_count_upto(k, n_max, coprime, _resolve_cap(max_points))
-    _check_cap(predicted, max_points, what)
-    return predicted
+    return check_work(lambda cap: tuple_count_upto(k, n_max, coprime, cap),
+                      DEFAULT_MAX_POINTS, f"{what} tuples")
 
 
 @dataclass(frozen=True)
@@ -196,7 +184,7 @@ def _pair_count(c1: int, c2: int, yp: int, yq: int, circle: bool) -> int:
     return count
 
 
-def count_pairs_interval(q: PairQuery, max_points: int | None = None) -> int:
+def count_pairs_interval(q: PairQuery) -> int:
     """Exact ordered near-pair count, one closed form per pair of table entries.
 
     Each entry (c, w) of _reduced_denominators stands for the values v/c,
@@ -205,7 +193,7 @@ def count_pairs_interval(q: PairQuery, max_points: int | None = None) -> int:
     symmetric in (c1, c2), so each unordered pair is counted once.
     """
     q.validate()
-    tuples = _check_tuples(q.k, q.n_max, q.coprime, max_points, "count_pairs_interval")
+    tuples = _check_tuples(q.k, q.n_max, q.coprime, "count_pairs_interval")
     circle = q.metric == "circle"
     if circle and 1 / q.y >= HALF:
         # every circle distance is at most 1/2 <= 1/y
@@ -219,10 +207,10 @@ def count_pairs_interval(q: PairQuery, max_points: int | None = None) -> int:
     return total
 
 
-def count_pairs_bruteforce(q: PairQuery, max_points: int | None = None) -> int:
+def count_pairs_bruteforce(q: PairQuery) -> int:
     """O(P^2) oracle for count_pairs_interval; all-integer comparisons."""
     q.validate()
-    _check_tuples(q.k, q.n_max, q.coprime, max_points, "count_pairs_bruteforce")
+    _check_tuples(q.k, q.n_max, q.coprime, "count_pairs_bruteforce")
     tuples = [(f.u, f.n**q.k) for f in enumerate_tuples(EnumerationSpec(q.k, q.n_max, q.coprime))]
     yp, yq = q.y.numerator, q.y.denominator
     circle = q.metric == "circle"
@@ -271,7 +259,7 @@ def _block_values(u_start: int, n_start: int, k: int, extra: int) -> list[Fracti
                   for u in range(u_start, 2 * u_start + extra))
 
 
-def count_pairs_block(q: DyadicBlockQuery, closed: bool = False, max_points: int | None = None) -> int:
+def count_pairs_block(q: DyadicBlockQuery, closed: bool = False) -> int:
     """Exact block count over u_i in [U_i, 2U_i), n_i in [N_i, 2N_i).
 
     closed=True switches both ranges to the closed convention
@@ -284,7 +272,7 @@ def count_pairs_block(q: DyadicBlockQuery, closed: bool = False, max_points: int
     extra = 1 if closed else 0
     side1 = (q.u1 + extra) * (q.n1 + extra)
     side2 = (q.u2 + extra) * (q.n2 + extra)
-    _check_cap(side1 + side2, max_points, "count_pairs_block")
+    check_work(lambda cap: side1 + side2, DEFAULT_MAX_POINTS, "count_pairs_block tuples")
     if (q.n1 + extra) * (q.n2 + extra) > STRIPS_PER_TUPLE * (side1 + side2):
         t = 1 / q.y
         return _pairs_within(_block_values(q.u1, q.n1, q.k, extra),
@@ -311,13 +299,14 @@ class ReciprocalPairQuery:
             raise RangeError(f"threshold scale z must be positive, got {self.z}")
 
 
-def count_pairs_reciprocal(q: ReciprocalPairQuery, max_points: int | None = None) -> int:
+def count_pairs_reciprocal(q: ReciprocalPairQuery) -> int:
     """Exact count of ordered pairs with |(n1/M)^k U/u1 - (n2/M)^k U/u2| <= 1/z.
 
     Ranges are closed: M <= n_i <= 2M, U <= u_i <= 2U.
     """
     q.validate()
-    _check_cap((q.m + 1) * (q.u + 1) * 2, max_points, "count_pairs_reciprocal")
+    check_work(lambda cap: (q.m + 1) * (q.u + 1) * 2, DEFAULT_MAX_POINTS,
+               "count_pairs_reciprocal tuples")
     mk = q.m**q.k
     vals = [
         Fraction(n**q.k * q.u, mk * u)
@@ -360,7 +349,8 @@ def count_multiplicative_near(q: MultiplicativeNearQuery) -> MultiplicativeNearR
     most max_multiplicity times.
     """
     q.validate()
-    _check_cap((q.m + 1) * (q.v_start + 1) * 2, None, "count_multiplicative_near")
+    check_work(lambda cap: (q.m + 1) * (q.v_start + 1) * 2, DEFAULT_MAX_POINTS,
+               "count_multiplicative_near tuples")
     prods = sorted(
         n**q.k * w
         for n in range(q.m, 2 * q.m + 1)
@@ -419,12 +409,11 @@ class CoverageProfile:
         ]
 
 
-def coverage_profile(k: int, n_max: int, y: Fraction, coprime: bool = True,
-                     max_points: int | None = None) -> CoverageProfile:
+def coverage_profile(k: int, n_max: int, y: Fraction, coprime: bool = True) -> CoverageProfile:
     """Sweep the 2*P closed-arc endpoints into an exact coverage step function."""
     if y <= 0:
         raise RangeError(f"threshold scale y must be positive, got {y}")
-    _check_tuples(k, n_max, coprime, max_points, "coverage_profile")
+    _check_tuples(k, n_max, coprime, "coverage_profile")
     centers = [f.value % 1 for f in enumerate_tuples(EnumerationSpec(k, n_max, coprime))]
     p = len(centers)
     r = 1 / y
@@ -443,11 +432,9 @@ def coverage_profile(k: int, n_max: int, y: Fraction, coprime: bool = True,
         bset.add(right)
     bps = sorted(bset)
     m = len(bps)
-    # base depth on the open interval (bps[0], bps[1]) by midpoint containment
-    mid = (bps[0] + bps[1]) / 2
-    depth0 = sum(1 for c in centers if circle_distance(mid, c) <= r)
+    # base depth on the open interval (bps[0], bps[1]): the arcs covering its midpoint
     depths = [0] * m
-    depths[0] = depth0
+    depths[0] = window_count(k, n_max, (bps[0] + bps[1]) / 2, y, coprime)
     for i in range(1, m):
         depths[i] = depths[i - 1] + starts[bps[i]] - ends[bps[i]]
     # arcs covering the interval before a breakpoint are closed on the right,
@@ -456,8 +443,7 @@ def coverage_profile(k: int, n_max: int, y: Fraction, coprime: bool = True,
     return CoverageProfile(tuple(bps), tuple(depths), tuple(point_depths), r, p)
 
 
-def window_count(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool = True,
-                 max_points: int | None = None) -> int:
+def window_count(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool = True) -> int:
     """Exact number of tuples whose value lies within circle distance 1/y of x.
 
     For each entry (c, w) of _reduced_denominators the v = 1..c with v/c
@@ -466,7 +452,7 @@ def window_count(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool = T
     """
     if y <= 0:
         raise RangeError(f"threshold scale y must be positive, got {y}")
-    tuples = _check_tuples(k, n_max, coprime, max_points, "window_count")
+    tuples = _check_tuples(k, n_max, coprime, "window_count")
     if 1 / y >= HALF:
         # every circle distance is at most 1/2 <= 1/y
         return tuples
@@ -492,22 +478,24 @@ def exceptional_measure(profile: CoverageProfile, t_threshold: int) -> Fraction:
     return total
 
 
-def sharpness_study(k: int, n_values: Iterable[int], coprime: bool = False,
-                    max_points: int | None = None) -> list[dict]:
+def sharpness_study(k: int, n_values: Iterable[int], coprime: bool = False) -> list[dict]:
     """Near-pair counts at the critical scale y = n^(k+1), with trend columns.
 
     Emits one row per n: the exact count, the ratio count / n^(k+1), and
     the finite-difference slope of log ratio against log n (None for the
-    first row).  A repeated n would leave the slope undefined and is refused.
+    first row).  An empty list is refused, and so is a repeated n, which
+    would leave the slope undefined.
     """
     n_values = list(n_values)
+    if not n_values:
+        raise RangeError("n values must not be empty")
     if len(set(n_values)) != len(n_values):
         raise RangeError(f"n values must be distinct, got {n_values}")
     rows: list[dict] = []
     prev: tuple[int, float] | None = None
     for n in n_values:
         y = Fraction(n ** (k + 1))
-        count = count_pairs_interval(PairQuery(k, n, y, coprime), max_points)
+        count = count_pairs_interval(PairQuery(k, n, y, coprime))
         ratio = count / n ** (k + 1)
         slope = None
         if prev is not None:

@@ -20,8 +20,9 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, RangeError, ResourceError
-from .fraccore import mobius_upto, tuple_count, tuple_count_upto
+from .fraccore import check_work, mobius_upto, tuple_count, tuple_count_upto
 
+# Cap on the P x m_len matrix entries, unless POWFRAC_MAX_POINTS sets another.
 DEFAULT_MAX_ENTRIES = 5_000_000
 # sieve_matrix forms a*m with a <= n^k and m < n^k in int64, exact below this modulus.
 _MAX_INT64_MODULUS = 2**31
@@ -56,16 +57,14 @@ def row_count(p: SieveProblem) -> int:
     return tuple_count(p.k, p.n_max, coprime=True)
 
 
-def check_cap(p: SieveProblem, max_entries: int | None) -> None:
+def check_cap(p: SieveProblem) -> None:
     """Refuse (ResourceError) a P x m_len matrix past the cap, counting rows per
     modulus only until they pass it: rows * m_len > cap exactly when rows > cap // m_len."""
-    cap = DEFAULT_MAX_ENTRIES if max_entries is None else max_entries
-    entries = tuple_count_upto(p.k, p.n_max, True, cap // p.m_len) * p.m_len
-    if entries > cap:
-        raise ResourceError(f"matrix of at least {entries} entries exceeds cap {cap}")
+    check_work(lambda cap: tuple_count_upto(p.k, p.n_max, True, cap // p.m_len) * p.m_len,
+               DEFAULT_MAX_ENTRIES, "sieve matrix entries")
 
 
-def sieve_matrix(p: SieveProblem, max_entries: int | None = None) -> np.ndarray:
+def sieve_matrix(p: SieveProblem) -> np.ndarray:
     """Complex P x m_len matrix with entries e(a*m / n^k), exactly reduced.
 
     Each modulus reduces its window mod n^k first (the offset as a Python
@@ -73,7 +72,7 @@ def sieve_matrix(p: SieveProblem, max_entries: int | None = None) -> np.ndarray:
     n^k < 2^31; larger moduli are refused.
     """
     p.validate()
-    check_cap(p, max_entries)
+    check_cap(p)
     if p.n_max**p.k >= _MAX_INT64_MODULUS:
         raise ResourceError(f"modulus {p.n_max}^{p.k} is past the exact int64 range")
     window = np.arange(1, p.m_len + 1, dtype=np.int64)
@@ -88,8 +87,8 @@ def sieve_matrix(p: SieveProblem, max_entries: int | None = None) -> np.ndarray:
     return out
 
 
-def gram_matrix(p: SieveProblem, max_entries: int | None = None) -> np.ndarray:
-    b = sieve_matrix(p, max_entries)
+def gram_matrix(p: SieveProblem) -> np.ndarray:
+    b = sieve_matrix(p)
     g = b.conj().T @ b
     g += g.conj().T
     g *= 0.5
@@ -112,29 +111,28 @@ def gram_column(p: SieveProblem) -> np.ndarray:
     return t
 
 
-def toeplitz_gram_matrix(p: SieveProblem, max_entries: int | None = None) -> np.ndarray:
+def toeplitz_gram_matrix(p: SieveProblem) -> np.ndarray:
     """The real Gram matrix: one float64 copy of a window view over gram_column."""
     p.validate()
-    check_cap(p, max_entries)
+    check_cap(p)
     t = gram_column(p)
     # Row i of the reversed windows over (t[M-1], .., t[1], t[0], .., t[M-1]) is t[|i - j|].
     windows = sliding_window_view(np.concatenate((t[:0:-1], t)), p.m_len)
     return np.array(windows[::-1], dtype=np.float64)
 
 
-def sieve_gram_eigenvalue(p: SieveProblem, max_entries: int | None = None) -> float:
+def sieve_gram_eigenvalue(p: SieveProblem) -> float:
     """The optimal sieve constant: top eigenvalue of the window-side Gram matrix."""
-    return float(np.linalg.eigvalsh(toeplitz_gram_matrix(p, max_entries))[-1])
+    return float(np.linalg.eigvalsh(toeplitz_gram_matrix(p))[-1])
 
 
-def dense_gram_eigenvalue(p: SieveProblem, max_entries: int | None = None) -> float:
+def dense_gram_eigenvalue(p: SieveProblem) -> float:
     """Oracle: full Hermitian eigensolver on the same Gram matrix."""
-    g = gram_matrix(p, max_entries)
+    g = gram_matrix(p)
     return float(np.linalg.eigvalsh(g)[-1])
 
 
-def l1_sieve_sum(p: SieveProblem, alpha: Sequence[complex],
-                 max_entries: int | None = None) -> float:
+def l1_sieve_sum(p: SieveProblem, alpha: Sequence[complex]) -> float:
     """Sum over rows of |sum_m alpha_m e(a*m/n^k)| (the l1-of-rows functional)."""
     p.validate()
     alpha_arr = np.asarray(alpha, dtype=complex)
@@ -142,19 +140,19 @@ def l1_sieve_sum(p: SieveProblem, alpha: Sequence[complex],
         raise DimensionError(
             f"alpha must have length {p.m_len}, got shape {alpha_arr.shape}"
         )
-    b = sieve_matrix(p, max_entries)
+    b = sieve_matrix(p)
     return float(np.abs(b @ alpha_arr).sum())
 
 
-def dual_quadratic_form(p: SieveProblem, coeffs: Mapping[tuple[int, int], complex] | Sequence[complex],
-                        max_entries: int | None = None) -> float:
+def dual_quadratic_form(p: SieveProblem,
+                        coeffs: Mapping[tuple[int, int], complex] | Sequence[complex]) -> float:
     """Sum over the window of |sum_(a,n) c(a,n) e(a*m/n^k)|^2.
 
     coeffs is either a mapping keyed by (a, n) (missing rows count as 0;
     unknown keys raise IndexError) or a dense sequence in row order.
     """
     p.validate()
-    check_cap(p, max_entries)
+    check_cap(p)
     if isinstance(coeffs, Mapping):
         index = {row: i for i, row in enumerate(sieve_rows(p))}
         c = np.zeros(len(index), dtype=complex)
@@ -167,7 +165,7 @@ def dual_quadratic_form(p: SieveProblem, coeffs: Mapping[tuple[int, int], comple
         rows = row_count(p)
         if c.shape != (rows,):
             raise DimensionError(f"dense coeffs must have length {rows}, got shape {c.shape}")
-    b = sieve_matrix(p, max_entries)
+    b = sieve_matrix(p)
     return float((np.abs(c @ b) ** 2).sum())
 
 

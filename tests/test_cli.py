@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from powfrac import fraccore, paircount
+from powfrac import expsum, fraccore, paircount
 from powfrac.cli import main
 from powfrac.paircount import PairQuery, count_pairs_interval
 from powfrac.sieve import SieveProblem, dense_gram_eigenvalue
@@ -163,6 +163,17 @@ def test_meanvalue_over_cap_exits_3(capsys):
     assert out == "" and "resource limit" in err
 
 
+@pytest.mark.parametrize("k, n_lo, n_hi", [(1, 0, 2), (2, -3, 0), (3, 0, 0)])
+def test_meanvalue_zero_base_exits_2_before_any_phase(capsys, monkeypatch, k, n_lo, n_hi):
+    monkeypatch.setattr(expsum, "power_phase", lambda k: pytest.fail("built a phase"))
+    code, out, err = run_cli(capsys, [
+        "meanvalue", "--k", str(k), "--n-lo", str(n_lo), "--n-hi", str(n_hi),
+        "--u-lo", "1", "--u-hi", "2", "--y-max", "8",
+    ])
+    assert code == 2
+    assert out == "" and "n = 0" in err
+
+
 def test_meanvalue_large_y_is_fast(capsys):
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, [
@@ -270,6 +281,12 @@ def test_sharpness_study_repeated_n_exits_2(capsys):
     code, out, err = run_cli(capsys, ["sharpness-study", "--k", "2", "--n-list", "4,4"])
     assert code == 2
     assert out == "" and "distinct" in err
+
+
+def test_sharpness_study_empty_list_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["sharpness-study", "--k", "2", "--n-list", ","])
+    assert code == 2
+    assert out == "" and "empty" in err
 
 
 def test_invalid_rational_exits_2(capsys):

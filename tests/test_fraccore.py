@@ -4,13 +4,20 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from powfrac import (CoprimalityError, EnumerationSpec, PowerFraction, RangeError,
-                     circle_distance, compare_fractions, enumerate_tuples, euler_phi,
-                     format_rational, make_fraction, parse_power_fraction,
-                     parse_rational, tuple_count)
-from powfrac.fraccore import mobius_upto
+from powfrac import (CoprimalityError, DyadicBlockQuery, EnumerationSpec,
+                     MultiplicativeNearQuery, PairQuery, PowerFraction, RangeError,
+                     ReciprocalPairQuery, ResourceError, circle_distance, compare_fractions,
+                     count_multiplicative_near, count_pairs_block, count_pairs_bruteforce,
+                     count_pairs_interval, count_pairs_reciprocal, coverage_profile,
+                     dense_gram_eigenvalue, dual_quadratic_form, enumerate_tuples, euler_phi,
+                     format_rational, l1_sieve_sum, make_fraction, parse_power_fraction,
+                     parse_rational, sharpness_study, sieve_gram_eigenvalue, tuple_count,
+                     window_count)
+from powfrac.fraccore import check_work, mobius_upto, tuple_count_upto
+from powfrac.sieve import SieveProblem, sieve_matrix
 
 
 def test_make_fraction_basic():
@@ -160,3 +167,49 @@ def test_mobius_upto_matches_factorization():
     assert mobius_upto(0) == [0]
     assert mobius_upto(1) == [0, 1]
     assert mobius_upto(500) == [0] + [mu(n) for n in range(1, 501)]
+
+
+def test_check_work_reads_the_cap_from_the_environment(monkeypatch):
+    monkeypatch.delenv("POWFRAC_MAX_POINTS", raising=False)
+    assert check_work(lambda cap: 7, None, "work") == 7
+    assert check_work(lambda cap: 7, 7, "work") == 7
+    with pytest.raises(ResourceError, match="work: predicted at least 8 exceeds cap 7"):
+        check_work(lambda cap: 8, 7, "work")
+    monkeypatch.setenv("POWFRAC_MAX_POINTS", "")  # empty: the default holds
+    with pytest.raises(ResourceError):
+        check_work(lambda cap: 8, 7, "work")
+    monkeypatch.setenv("POWFRAC_MAX_POINTS", "8")  # the variable overrides any default
+    assert check_work(lambda cap: 8, 7, "work") == 8
+    assert check_work(lambda cap: 8, None, "work") == 8
+    # the count may stop as soon as it passes the cap it is given: 1 + 2 + 3 + 4 > 8
+    with pytest.raises(ResourceError, match="at least 10 exceeds cap 8"):
+        check_work(lambda cap: tuple_count_upto(1, 10**9, False, cap), None, "work")
+
+
+_SIEVE = SieveProblem(2, 3, 2)  # 9 rows, 18 entries
+# Every library entry point that checks the resource cap, at a size far below
+# the defaults but past a cap of 3 tuples or matrix entries.
+CAPPED = {
+    "interval": lambda: count_pairs_interval(PairQuery(2, 3, Fraction(4))),
+    "oracle": lambda: count_pairs_bruteforce(PairQuery(2, 3, Fraction(4))),
+    "block": lambda: count_pairs_block(DyadicBlockQuery(2, 2, 2, 2, 2, Fraction(4))),
+    "reciprocal": lambda: count_pairs_reciprocal(ReciprocalPairQuery(2, 2, 2, Fraction(4))),
+    "multiplicative": lambda: count_multiplicative_near(MultiplicativeNearQuery(2, 2, 2, 1)),
+    "window": lambda: window_count(2, 3, Fraction(1, 3), Fraction(4)),
+    "coverage": lambda: coverage_profile(2, 3, Fraction(4)),
+    "sharpness": lambda: sharpness_study(2, [3]),
+    "sieve_matrix": lambda: sieve_matrix(_SIEVE),
+    "delta_toeplitz": lambda: sieve_gram_eigenvalue(_SIEVE),
+    "delta_dense": lambda: dense_gram_eigenvalue(_SIEVE),
+    "l1": lambda: l1_sieve_sum(_SIEVE, np.ones(2)),
+    "dual": lambda: dual_quadratic_form(_SIEVE, {}),
+}
+
+
+@pytest.mark.parametrize("call", CAPPED.values(), ids=CAPPED.keys())
+def test_capped_entry_points_honour_the_variable(monkeypatch, call):
+    monkeypatch.delenv("POWFRAC_MAX_POINTS", raising=False)
+    call()
+    monkeypatch.setenv("POWFRAC_MAX_POINTS", "3")
+    with pytest.raises(ResourceError):
+        call()

@@ -40,9 +40,10 @@ def test_interval_validation():
         count_pairs_interval(PairQuery(1, 2, Fraction(2), metric="torus"))
 
 
-def test_interval_resource_cap():
+def test_interval_resource_cap(monkeypatch):
+    monkeypatch.setenv("POWFRAC_MAX_POINTS", "5")
     with pytest.raises(ResourceError):
-        count_pairs_interval(PairQuery(2, 4, Fraction(3)), max_points=5)
+        count_pairs_interval(PairQuery(2, 4, Fraction(3)))
 
 
 def test_sweep_matches_bruteforce_sample():

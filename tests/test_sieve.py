@@ -314,7 +314,8 @@ def test_sieve_matrix_matches_exact_integer_reference(k, n_max, m_len, m_offset)
     assert np.array_equal(sieve_matrix(p), ref)
 
 
-def test_sieve_matrix_refuses_modulus_past_int64_products():
+def test_sieve_matrix_refuses_modulus_past_int64_products(monkeypatch):
     # 2^31 rows of modulus 2^31: a * m could overflow int64, so refuse before building
+    monkeypatch.setenv("POWFRAC_MAX_POINTS", str(10**10))
     with pytest.raises(ResourceError):
-        sieve_matrix(SieveProblem(k=31, n_max=2, m_len=1), max_entries=10**10)
+        sieve_matrix(SieveProblem(k=31, n_max=2, m_len=1))
