@@ -180,7 +180,11 @@ def _pair_count(c1: int, c2: int, yp: int, yq: int, circle: bool) -> int:
     if not circle:
         alpha, beta = c2 // g, c1 // g
         m = min(reach, l - reach - 1)
-        count -= _corner(alpha, beta, m) + _corner(beta, alpha, m)
+        # each triangle is empty below its edge: m >= beta needs c2 >= Y, m >= alpha c1 >= Y
+        if m >= beta:
+            count -= _corner(alpha, beta, m)
+        if m >= alpha:
+            count -= _corner(beta, alpha, m)
     return count
 
 

@@ -2,9 +2,12 @@
 
 The row set of the sieve matrix is {(a, n) : 1 <= n <= n_max,
 1 <= a <= n^k, gcd(a, n) = 1}; columns are m = m_offset+1 .. m_offset+m_len
-with entries e(a*m / n^k).  The optimal sieve constant is the top
-eigenvalue of the m_len x m_len Gram matrix (window side: identical
-nonzero spectrum as the row side, and desk instances have m_len <= P).
+with entries e(a*m / n^k).  The optimal sieve constant Delta is the top
+eigenvalue of the m_len x m_len Gram matrix B*B, solved as a smaller
+problem on each route: the dense oracle takes whichever of B*B and BB* has
+side min(P, m_len), since both share their nonzero spectrum; the fast path
+splits the real symmetric Toeplitz Gram matrix, which is centrosymmetric,
+into two blocks of side at most ceil(m_len / 2).
 Phases are reduced as (a*m) mod n^k in exact integers before any float
 enters, so large window offsets lose no accuracy.
 """
@@ -122,13 +125,37 @@ def toeplitz_gram_matrix(p: SieveProblem) -> np.ndarray:
 
 
 def sieve_gram_eigenvalue(p: SieveProblem) -> float:
-    """The optimal sieve constant: top eigenvalue of the window-side Gram matrix."""
-    return float(np.linalg.eigvalsh(toeplitz_gram_matrix(p))[-1])
+    """The optimal sieve constant: top eigenvalue of the window-side Gram matrix G.
+
+    G is symmetric Toeplitz, so JGJ = G for the exchange matrix J, and its
+    spectrum is that of two half-size blocks (Cantoni & Butler, Linear
+    Algebra Appl. 13, 1976): A - BJ on the vectors (x, -Jx) and A + BJ on
+    (x, Jx), where A[i, j] = t[|i - j|] and BJ[i, j] = t[m_len-1 - i - j] for
+    i, j < h = m_len // 2.  For odd m_len the symmetric vectors (x, c, Jx)
+    carry the middle index too, written (sqrt(2)*x, c): A + BJ bordered by
+    sqrt(2)*t[h - i] and t[0].
+    """
+    p.validate()
+    check_cap(p)
+    t = gram_column(p).astype(np.float64)
+    m, h = p.m_len, p.m_len // 2
+    i = np.arange(m - h)[:, None]  # for odd m_len the last index is the middle one, h
+    a = t[abs(i - i.T)]
+    bj = t[m - 1 - i - i.T]
+    plus = a + bj
+    if m % 2:
+        plus[h, :h] = plus[:h, h] = math.sqrt(2) * t[h:0:-1]
+        plus[h, h] = t[0]
+    blocks = ((a - bj)[:h, :h], plus)
+    return float(max(np.linalg.eigvalsh(b)[-1] for b in blocks if len(b)))
 
 
 def dense_gram_eigenvalue(p: SieveProblem) -> float:
-    """Oracle: full Hermitian eigensolver on the same Gram matrix."""
-    g = gram_matrix(p)
+    """Oracle: the Hermitian eigensolver on BB* (P x P) when P < m_len, else on
+    B*B; both have the nonzero spectrum of the Gram matrix, built from the
+    sieve matrix B itself rather than from the Ramanujan sums of gram_column."""
+    b = sieve_matrix(p)
+    g = b @ b.conj().T if b.shape[0] < b.shape[1] else b.conj().T @ b
     return float(np.linalg.eigvalsh(g)[-1])
 
 

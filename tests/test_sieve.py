@@ -1,10 +1,11 @@
 """Tests for the large-sieve operator: Gram eigenvalues, l1 sums, duality."""
 
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powfrac import sieve
@@ -43,6 +44,55 @@ def sieve_problems(draw):
 def test_toeplitz_eigenvalue_matches_dense_oracle(p):
     slow = dense_gram_eigenvalue(p)
     assert abs(sieve_gram_eigenvalue(p) - slow) <= 1e-10 * slow
+
+
+@contextmanager
+def _eigvalsh_calls():
+    """Record (input shape, spectrum) for every np.linalg.eigvalsh call inside."""
+    calls = []
+    solve = np.linalg.eigvalsh
+
+    def recording(a):
+        calls.append((a.shape, solve(a)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", recording)
+        yield calls
+
+
+# The examples hold M in {1, 2, 3}: an empty skew block, and the bordered middle index.
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sieve_problems())
+@example(SieveProblem(2, 3, 1))
+@example(SieveProblem(1, 5, 2, 11))
+@example(SieveProblem(3, 2, 3, 10**9))
+def test_centrosymmetric_blocks_split_the_toeplitz_spectrum(p):
+    with _eigvalsh_calls() as calls:
+        sieve_gram_eigenvalue(p)
+    split = np.sort(np.concatenate([spectrum for _, spectrum in calls]))
+    full = np.linalg.eigvalsh(toeplitz_gram_matrix(p))
+    assert split.shape == full.shape
+    assert np.abs(split - full).max() <= 1e-9 * full[-1]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sieve_problems())
+@example(SieveProblem(2, 3, 1))
+@example(SieveProblem(1, 5, 2, 11))
+@example(SieveProblem(3, 2, 3, 10**9))
+@example(SieveProblem(1, 30, 4))  # P > M
+@example(SieveProblem(2, 2, 40))  # P < M
+def test_routes_solve_the_smaller_eigenproblem(p):
+    side = min(row_count(p), p.m_len)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sieve, "gram_matrix", lambda p: pytest.fail("dense route built the M x M Gram"))
+        with _eigvalsh_calls() as calls:
+            dense_gram_eigenvalue(p)
+    assert [shape for shape, _ in calls] == [(side, side)]
+    with _eigvalsh_calls() as calls:
+        sieve_gram_eigenvalue(p)
+    assert all(max(shape) <= (p.m_len + 1) // 2 for shape, _ in calls)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
