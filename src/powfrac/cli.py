@@ -176,22 +176,21 @@ def cmd_meanvalue(args):
     return fields, f"meanvalue: value={value:.6g} pair_count={pairs}", None
 
 
-def _sieve_problem(args) -> tuple[sieve.SieveProblem, dict]:
-    """The validated problem and its report fields; refuses past the cap before any vector."""
+def _sieve_problem(args) -> tuple[sieve.SieveProblem, int, dict]:
+    """The validated problem, its row count and its report fields; refuses past the cap first."""
     problem = sieve.SieveProblem(args.k, args.n_max, args.m_len, args.m_offset)
     problem.validate()
-    sieve.check_cap(problem)
+    p_rows = sieve.check_cap(problem)
     fields = {"k": args.k, "n_max": args.n_max, "m_len": args.m_len, "m_offset": args.m_offset}
-    return problem, fields
+    return problem, p_rows, fields
 
 
 def cmd_sieve_delta(args):
-    problem, fields = _sieve_problem(args)
+    problem, p_rows, fields = _sieve_problem(args)
     if args.method == "dense":
         delta = sieve.dense_gram_eigenvalue(problem)
     else:
         delta = sieve.sieve_gram_eigenvalue(problem)
-    p_rows = sieve.row_count(problem)
     fields.update(method=args.method, p_rows=p_rows, delta=delta)
     return fields, f"sieve-delta: delta={delta:.8g} (P={p_rows}, M={args.m_len})", None
 
@@ -212,19 +211,18 @@ def _make_alpha(args) -> np.ndarray:
 
 
 def cmd_sieve_l1(args):
-    problem, fields = _sieve_problem(args)
+    problem, p_rows, fields = _sieve_problem(args)
     alpha = _make_alpha(args)
     value = sieve.l1_sieve_sum(problem, alpha)
     delta = sieve.sieve_gram_eigenvalue(problem)
-    cs_bound = math.sqrt(sieve.row_count(problem) * delta) * float(np.linalg.norm(alpha))
+    cs_bound = math.sqrt(p_rows * delta) * float(np.linalg.norm(alpha))
     fields.update(alpha_mode=args.alpha_mode, seed=args.seed, value=value, cs_bound=cs_bound,
                   within_cs=value <= cs_bound * (1 + 1e-9))
     return fields, f"sieve-l1: value={value:.6g} <= {cs_bound:.6g}", None
 
 
 def cmd_sieve_dual(args):
-    problem, fields = _sieve_problem(args)
-    p_rows = sieve.row_count(problem)
+    problem, p_rows, fields = _sieve_problem(args)
     if args.coeff_mode == "ones":
         coeffs = np.ones(p_rows, dtype=complex)
     else:

@@ -143,9 +143,7 @@ def vdc_transform_sum(p: PhaseSpec) -> tuple[complex, float]:
 class GenericPhase:
     """Phase on [a, b] given by callables for f and its derivatives.
 
-    df_increasing records the declared monotonicity of f'; when None it
-    is inferred from the endpoint values.  Third and fourth derivatives
-    are optional metadata used only by validate().
+    Third and fourth derivatives are optional metadata used only by validate().
     """
 
     f: Callable[[float], float]
@@ -155,7 +153,6 @@ class GenericPhase:
     b: float
     d3f: Optional[Callable[[float], float]] = None
     d4f: Optional[Callable[[float], float]] = None
-    df_increasing: Optional[bool] = None
 
     def validate(self) -> None:
         """Check supplied derivatives against central differences of f.
@@ -193,7 +190,6 @@ def monomial_phase(p: PhaseSpec) -> GenericPhase:
         d3f=p.d3f,
         a=p.n_scale,
         b=p.eta * p.n_scale,
-        df_increasing=p.alpha > 1,
     )
 
 
@@ -213,7 +209,7 @@ def _solve_df_equals(g: GenericPhase, m: int) -> float:
         return hi
     if (s_lo > 0) == (s_hi > 0):
         raise RootBracketError(
-            f"f' - {m} has equal signs at both endpoints; monotonicity metadata violated"
+            f"f' - {m} has equal signs at both endpoints; f' is not monotone"
         )
     x = 0.5 * (lo + hi)
     for _ in range(200):
@@ -250,14 +246,14 @@ def stationary_phase_generic(g: GenericPhase) -> tuple[complex, float]:
     fb = g.df(g.b)
     lo_val, hi_val = min(fa, fb), max(fa, fb)
     xs = [g.a + (g.b - g.a) * i / 32 for i in range(33)]
-    increasing = g.df_increasing if g.df_increasing is not None else fb >= fa
+    increasing = fb >= fa
     dvals = [g.df(x) for x in xs]
     slack = 1e-9 * max(1.0, abs(fb - fa))
     for left, right in zip(dvals, dvals[1:]):
         drift = left - right if increasing else right - left
         if drift > slack:
             raise RootBracketError(
-                "sampled f' violates the declared monotonicity; "
+                "sampled f' is not monotone from f'(a) to f'(b); "
                 "bisection preconditions are defeated"
             )
     min_d2 = min(abs(g.d2f(x)) for x in xs)
@@ -292,7 +288,7 @@ def kusmin_landau_check(g: GenericPhase, lam: float) -> KusminReport:
         raise RangeError(f"lam must lie in (0, 1), got {lam}")
     ns = range(math.ceil(g.a), math.floor(g.b) + 1)
     step = max(1, len(ns) // 2000)
-    for n in list(ns)[::step]:
+    for n in ns[::step]:
         d = g.df(n)
         dist = abs(d - round(d))
         if dist < lam - 1e-12:

@@ -1,9 +1,10 @@
-"""Exact representation and enumeration of fractions u / n^k.
+"""Exact representation, enumeration and counting of fractions u / n^k.
 
 Everything here is exact: values are stdlib `fractions.Fraction`
 (arbitrary-precision rationals, always in lowest terms), comparisons are
 integer cross-multiplications, and no floating point ever decides an
-order or a count.
+order or a count.  reduced_denominators regroups the tuples into complete
+residue systems v/c with Moebius weights for the pair counts and the sieve.
 """
 
 from __future__ import annotations
@@ -70,6 +71,27 @@ def mobius_upto(n: int) -> list[int]:
             for m in range(2 * s, n + 1, s):
                 mu[m] -= mu[s]
     return mu
+
+
+def reduced_denominators(k: int, n_max: int, coprime: bool) -> dict[int, int]:
+    """Weights w(c) with #{tuples u/n^k in a set} = sum(w(c) * #{v/c in it, 1 <= v <= c}).
+
+    Without the gcd filter the table is w(n^k) = 1.  With it, Moebius
+    inversion writes [gcd(u, n) = 1] as the sum of mu(e) over squarefree
+    e | gcd(u, n), and u = e*v turns u/n^k into v/c with c = n^k/e, so w(c)
+    adds mu(e) over the (n, e) with n^k/e = c.  At k = 1, c = n/e and
+    w(c) = M(n_max // c), the Mertens function.  Zero weights are dropped.
+    """
+    if not coprime:
+        return {n**k: 1 for n in range(1, n_max + 1)}
+    mu = mobius_upto(n_max)
+    weights: dict[int, int] = {}
+    for e in range(1, n_max + 1):
+        if mu[e]:
+            for n in range(e, n_max + 1, e):
+                c = n**k // e
+                weights[c] = weights.get(c, 0) + mu[e]
+    return {c: w for c, w in weights.items() if w}
 
 
 @dataclass(frozen=True)

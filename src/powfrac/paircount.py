@@ -5,13 +5,13 @@ arithmetic; floats appear only in report diagnostics, never in a
 comparison that decides a count.  Boundary ties (distance exactly equal
 to the threshold) are always included.
 
-Near-pair and window counts run over one table of reduced denominators c
-with integer weights w(c): w(n^k) = 1 without the gcd filter, and with it
-the Moebius sum, where u = e*v over squarefree e | n turns u/n^k into v/c
-with c = n^k/e (at k = 1, w(c) = M(N // c), the Mertens function).  Each
-entry stands for the complete residue system v = 1..c, so a near-pair count
-costs one gcd per pair of entries and a window count one floor difference
-per entry; neither lists the fractions.  Block counts range over dyadic
+Near-pair and window counts run over fraccore.reduced_denominators, the
+table of reduced denominators c with integer weights w(c): w(n^k) = 1
+without the gcd filter, and with it the Moebius sum, where u = e*v over
+squarefree e | n turns u/n^k into v/c with c = n^k/e.  Each entry stands
+for the complete residue system v = 1..c, so a near-pair count costs one
+gcd per pair of entries and a window count one floor difference per
+entry; neither lists the fractions.  Block counts range over dyadic
 boxes, which are not complete residue systems: one lattice strip per pair
 of bases (floor sums in O(log) steps), or a sorted sweep over the tuples
 where the pairs of bases outnumber them by more than STRIPS_PER_TUPLE.
@@ -27,7 +27,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import RangeError
-from .fraccore import EnumerationSpec, check_work, enumerate_tuples, mobius_upto, tuple_count_upto
+from .fraccore import (EnumerationSpec, check_work, enumerate_tuples, reduced_denominators,
+                       tuple_count_upto)
 
 # Cap on the tuples a count predicts, unless POWFRAC_MAX_POINTS sets another.
 DEFAULT_MAX_POINTS = 2_000_000
@@ -125,27 +126,6 @@ def _strip(alpha: int, beta: int, x0: int, x1: int, y0: int, y1: int, lo: int, h
             - _clamped_floor_sum(alpha, -hi - 1, beta, x0, x1, y0 - 1, y1))
 
 
-def _reduced_denominators(k: int, n_max: int, coprime: bool) -> dict[int, int]:
-    """Weights w(c) with #{tuples u/n^k in a set} = sum(w(c) * #{v/c in it, 1 <= v <= c}).
-
-    Without the gcd filter the table is w(n^k) = 1.  With it, Moebius
-    inversion writes [gcd(u, n) = 1] as the sum of mu(e) over squarefree
-    e | gcd(u, n), and u = e*v turns u/n^k into v/c with c = n^k/e, so w(c)
-    adds mu(e) over the (n, e) with n^k/e = c.  At k = 1, c = n/e and
-    w(c) = M(n_max // c), the Mertens function.  Zero weights are dropped.
-    """
-    if not coprime:
-        return {n**k: 1 for n in range(1, n_max + 1)}
-    mu = mobius_upto(n_max)
-    weights: dict[int, int] = {}
-    for e in range(1, n_max + 1):
-        if mu[e]:
-            for n in range(e, n_max + 1, e):
-                c = n**k // e
-                weights[c] = weights.get(c, 0) + mu[e]
-    return {c: w for c, w in weights.items() if w}
-
-
 def _near(c1: int, c2: int, x0: int, x1: int, y0: int, y1: int, yp: int, yq: int) -> int:
     """#{x0 <= x <= x1, y0 <= y <= y1 : |x/c1 - y/c2| <= yq/yp}, one strip."""
     l = math.lcm(c1, c2)
@@ -191,7 +171,7 @@ def _pair_count(c1: int, c2: int, yp: int, yq: int, circle: bool) -> int:
 def count_pairs_interval(q: PairQuery) -> int:
     """Exact ordered near-pair count, one closed form per pair of table entries.
 
-    Each entry (c, w) of _reduced_denominators stands for the values v/c,
+    Each entry (c, w) of reduced_denominators stands for the values v/c,
     1 <= v <= c, with weight w, so the count is the sum of
     w1*w2*_pair_count(c1, c2) over ordered pairs of entries; the count is
     symmetric in (c1, c2), so each unordered pair is counted once.
@@ -203,7 +183,7 @@ def count_pairs_interval(q: PairQuery) -> int:
         # every circle distance is at most 1/2 <= 1/y
         return tuples**2
     yp, yq = q.y.numerator, q.y.denominator
-    entries = list(_reduced_denominators(q.k, q.n_max, q.coprime).items())
+    entries = list(reduced_denominators(q.k, q.n_max, q.coprime).items())
     total = 0
     for i, (c1, w1) in enumerate(entries):
         off = sum(w2 * _pair_count(c1, c2, yp, yq, circle) for c2, w2 in entries[i + 1:])
@@ -426,19 +406,19 @@ def coverage_profile(k: int, n_max: int, y: Fraction, coprime: bool = True) -> C
         return CoverageProfile((Fraction(0),), (p,), (p,), r, p)
     starts: Counter = Counter()
     ends: Counter = Counter()
-    bset = set()
+    wrapping = 0
     for c in centers:
         left = (c - r) % 1
         right = (c + r) % 1
         starts[left] += 1
         ends[right] += 1
-        bset.add(left)
-        bset.add(right)
-    bps = sorted(bset)
+        wrapping += left > right
+    bps = sorted(starts.keys() | ends.keys())
     m = len(bps)
-    # base depth on the open interval (bps[0], bps[1]): the arcs covering its midpoint
+    # base depth on the open interval (bps[0], bps[1]): an arc [left, right] covers it
+    # when it wraps past 0 and does not end at bps[0], or when it starts at bps[0]
     depths = [0] * m
-    depths[0] = window_count(k, n_max, (bps[0] + bps[1]) / 2, y, coprime)
+    depths[0] = wrapping + starts[bps[0]] - ends[bps[0]]
     for i in range(1, m):
         depths[i] = depths[i - 1] + starts[bps[i]] - ends[bps[i]]
     # arcs covering the interval before a breakpoint are closed on the right,
@@ -450,7 +430,7 @@ def coverage_profile(k: int, n_max: int, y: Fraction, coprime: bool = True) -> C
 def window_count(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool = True) -> int:
     """Exact number of tuples whose value lies within circle distance 1/y of x.
 
-    For each entry (c, w) of _reduced_denominators the v = 1..c with v/c
+    For each entry (c, w) of reduced_denominators the v = 1..c with v/c
     within 1/y of x on the circle stand one to one for the integers j in
     [c*(x - 1/y), c*(x + 1/y)], v = j mod c, and count w times.
     """
@@ -464,7 +444,7 @@ def window_count(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool = T
     # x -+ 1/y = (a*yp -+ b*yq) / (b*yp); as 1/y < 1/2, no two integers agree mod c
     low, high, den = a * yp - b * yq, a * yp + b * yq, b * yp
     return sum(w * (high * c // den + (-low * c // den) + 1)
-               for c, w in _reduced_denominators(k, n_max, coprime).items())
+               for c, w in reduced_denominators(k, n_max, coprime).items())
 
 
 def exceptional_measure(profile: CoverageProfile, t_threshold: int) -> Fraction:

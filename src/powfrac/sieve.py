@@ -7,7 +7,8 @@ eigenvalue of the m_len x m_len Gram matrix B*B, solved as a smaller
 problem on each route: the dense oracle takes whichever of B*B and BB* has
 side min(P, m_len), since both share their nonzero spectrum; the fast path
 splits the real symmetric Toeplitz Gram matrix, which is centrosymmetric,
-into two blocks of side at most ceil(m_len / 2).
+into two blocks of side at most ceil(m_len / 2).  Its column is a sum over
+fraccore.reduced_denominators; each call counts the rows once, in its cap check.
 Phases are reduced as (a*m) mod n^k in exact integers before any float
 enters, so large window offsets lose no accuracy.
 """
@@ -23,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, RangeError, ResourceError
-from .fraccore import check_work, mobius_upto, tuple_count, tuple_count_upto
+from .fraccore import check_work, reduced_denominators, tuple_count, tuple_count_upto
 
 # Cap on the P x m_len matrix entries, unless POWFRAC_MAX_POINTS sets another.
 DEFAULT_MAX_ENTRIES = 5_000_000
@@ -60,11 +61,12 @@ def row_count(p: SieveProblem) -> int:
     return tuple_count(p.k, p.n_max, coprime=True)
 
 
-def check_cap(p: SieveProblem) -> None:
+def check_cap(p: SieveProblem) -> int:
     """Refuse (ResourceError) a P x m_len matrix past the cap, counting rows per
-    modulus only until they pass it: rows * m_len > cap exactly when rows > cap // m_len."""
-    check_work(lambda cap: tuple_count_upto(p.k, p.n_max, True, cap // p.m_len) * p.m_len,
-               DEFAULT_MAX_ENTRIES, "sieve matrix entries")
+    modulus only until they pass it: rows * m_len > cap exactly when rows > cap // m_len.
+    Returns the row count P, exact whenever it does not raise."""
+    return check_work(lambda cap: tuple_count_upto(p.k, p.n_max, True, cap // p.m_len) * p.m_len,
+                      DEFAULT_MAX_ENTRIES, "sieve matrix entries") // p.m_len
 
 
 def sieve_matrix(p: SieveProblem) -> np.ndarray:
@@ -75,11 +77,11 @@ def sieve_matrix(p: SieveProblem) -> np.ndarray:
     n^k < 2^31; larger moduli are refused.
     """
     p.validate()
-    check_cap(p)
+    rows = check_cap(p)
     if p.n_max**p.k >= _MAX_INT64_MODULUS:
         raise ResourceError(f"modulus {p.n_max}^{p.k} is past the exact int64 range")
     window = np.arange(1, p.m_len + 1, dtype=np.int64)
-    out = np.empty((row_count(p), p.m_len), dtype=complex)
+    out = np.empty((rows, p.m_len), dtype=complex)
     i = 0
     for n in range(1, p.n_max + 1):
         nk = n**p.k
@@ -104,13 +106,12 @@ def gram_column(p: SieveProblem) -> np.ndarray:
     Summing e(a*d / n^k) over a coprime to n gives the Ramanujan sum
     c_{n^k}(d), the sum of mu(s) * n^k/s over s | n with (n^k/s) | d
     (Hardy & Wright 16.6), so G is real Toeplitz and ignores m_offset.
+    Summed over n, the terms with n^k/s = c share one weight w(c) of
+    reduced_denominators: t[d] is the sum of w(c) * c over the entries c | d.
     """
     t = np.zeros(p.m_len, dtype=np.int64)
-    mu = mobius_upto(p.n_max)
-    for s in range(1, p.n_max + 1):
-        for n in range(s, p.n_max + 1, s) if mu[s] else ():
-            step = n**p.k // s
-            t[::step] += mu[s] * step  # a step of m_len or more touches only t[0]
+    for c, w in reduced_denominators(p.k, p.n_max, True).items():
+        t[::c] += w * c  # a step of m_len or more touches only t[0]
     return t
 
 
@@ -179,7 +180,7 @@ def dual_quadratic_form(p: SieveProblem,
     unknown keys raise IndexError) or a dense sequence in row order.
     """
     p.validate()
-    check_cap(p)
+    rows = check_cap(p)
     if isinstance(coeffs, Mapping):
         index = {row: i for i, row in enumerate(sieve_rows(p))}
         c = np.zeros(len(index), dtype=complex)
@@ -189,7 +190,6 @@ def dual_quadratic_form(p: SieveProblem,
             c[index[key]] = value
     else:
         c = np.asarray(coeffs, dtype=complex)
-        rows = row_count(p)
         if c.shape != (rows,):
             raise DimensionError(f"dense coeffs must have length {rows}, got shape {c.shape}")
     b = sieve_matrix(p)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import importlib.util
 import json
 import time
 from fractions import Fraction
@@ -400,3 +401,35 @@ def test_output_path_refused_before_work(capsys, monkeypatch, tmp_path, argv, wo
     code, out, err = run_cli(capsys, argv + [str(path)])
     assert code == 2
     assert out == "" and str(path) in err
+
+
+@pytest.mark.parametrize("argv, passes", [
+    (["sieve-dual", "--k", "2", "--n-max", "6", "--m-len", "30"], 4),
+    (["sieve-l1", "--k", "2", "--n-max", "6", "--m-len", "30"], 3),
+    (["sieve-delta", "--k", "2", "--n-max", "6", "--m-len", "30"], 2),
+    (["sieve-delta", "--k", "2", "--n-max", "6", "--m-len", "30", "--method", "dense"], 2),
+    (["measure", "--k", "2", "--n-max", "6", "--y", "50/1", "--threshold", "2"], 1),
+    (["pairs", "--k", "2", "--n-max", "6", "--y", "50/1", "--coprime"], 1),
+])
+def test_fraction_set_counted_once_per_cap_check(capsys, monkeypatch, argv, passes):
+    """Each call reuses the count its cap check made: one pass over the bases per
+    cap check, none to recount the rows."""
+    calls = []
+    base_counts = fraccore._base_counts
+    monkeypatch.setattr(fraccore, "_base_counts", lambda *a: calls.append(a) or base_counts(*a))
+    code, _, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert 1 <= len(calls) <= passes
+
+
+def test_traced_names_exist():
+    """Every function the benchmark's tracer wraps is still defined in its module."""
+    path = Path(__file__).parents[1] / "bench" / "tracer.py"
+    if not path.exists():
+        pytest.skip("bench/tracer.py is absent")
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{name}" for module, names in tracer.TRACED.items()
+               for name in names if not hasattr(importlib.import_module(f"powfrac.{module}"), name)]
+    assert missing == []

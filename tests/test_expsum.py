@@ -112,29 +112,28 @@ def test_generic_phase_validate_catches_bad_derivative():
 
 
 def test_root_bracket_error_on_nonmonotone_derivative():
-    # f' = 2.5 - (x-2)^2 rises then falls on [1,3], contradicting the
-    # declared monotonicity, so root bracketing must be refused.
+    # f' = 2.5 - (x-2)^2 rises then falls on [1,3]; f'(1) = f'(3) infers
+    # "increasing", which the fall contradicts, so root bracketing is refused.
     phase = GenericPhase(
         f=lambda x: 2.5 * x - (x - 2) ** 3 / 3,
         df=lambda x: 2.5 - (x - 2) ** 2,
         d2f=lambda x: -2 * (x - 2),
         a=1.0,
         b=3.0,
-        df_increasing=True,
     )
     with pytest.raises(RootBracketError):
         stationary_phase_generic(phase)
 
 
 def test_nonmonotone_derivative_detected_without_metadata():
-    # Without declared metadata the direction is inferred from the endpoint
-    # values; an interior hump still defeats bracketing and is refused.
+    # The direction is inferred from the endpoint values: on [1, 3.5]
+    # f'(1) > f'(3.5) infers "decreasing", which the rise on [1, 2] contradicts.
     phase = GenericPhase(
         f=lambda x: 2.5 * x - (x - 2) ** 3 / 3,
         df=lambda x: 2.5 - (x - 2) ** 2,
         d2f=lambda x: -2 * (x - 2),
         a=1.0,
-        b=3.0,
+        b=3.5,
     )
     with pytest.raises(RootBracketError):
         stationary_phase_generic(phase)

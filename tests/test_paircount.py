@@ -16,6 +16,7 @@ from powfrac import (CoverageProfile, DyadicBlockQuery, EnumerationSpec, Multipl
                      count_pairs_interval, count_pairs_reciprocal, coverage_profile,
                      enumerate_tuples, exceptional_measure, sharpness_study, tuple_count,
                      window_count)
+from powfrac.fraccore import reduced_denominators
 
 
 def _random_rational(rng: random.Random, lo: int, hi: int) -> Fraction:
@@ -311,7 +312,7 @@ def test_reduced_denominator_table(k, coprime):
     """The weighted table stands for every tuple once, and its pairs of
     entries stay within a fixed multiple of the tuple count the cap bounds."""
     for n_max in range(1, 61):
-        table = paircount._reduced_denominators(k, n_max, coprime)
+        table = reduced_denominators(k, n_max, coprime)
         tuples = tuple_count(k, n_max, coprime)
         assert sum(w * c for c, w in table.items()) == tuples, n_max
         assert all(table.values()), n_max
