@@ -140,6 +140,9 @@ def cmd_expsum_direct(args):
 
 def cmd_expsum_vdc(args):
     spec, fields = _phase_spec(args)
+    # Both term counts are checked before either sum evaluates a phase.
+    expsum.monomial_term_count(spec)
+    expsum.dual_term_count(spec)
     direct = expsum.direct_monomial_sum(spec)
     value, budget = expsum.vdc_transform_sum(spec)
     abs_err = abs(direct - value)
@@ -152,6 +155,16 @@ def cmd_expsum_vdc(args):
 
 def cmd_kusmin(args):
     coef, power = args.coef, args.power
+    for name in ("coef", "power", "a", "b"):
+        if not math.isfinite(getattr(args, name)):
+            raise RangeError(f"--{name} must be finite, got {getattr(args, name)}")
+    if math.ceil(args.a) <= math.floor(args.b):
+        # n**power is complex at n < 0 unless power is an integer; f' has a pole at 0 if power < 1.
+        if args.a <= -1 and power != int(power):
+            raise RangeError(f"n^{power} is not real at the negative integers of "
+                             f"[{args.a}, {args.b}]")
+        if args.a <= 0 <= args.b and power < 1:
+            raise RangeError(f"f'(n) = coef*{power}*n^{power - 1} is undefined at n = 0")
     phase = expsum.GenericPhase(f=lambda x: coef * x**power,
                                 df=lambda x: coef * power * x ** (power - 1),
                                 d2f=lambda x: coef * power * (power - 1) * x ** (power - 2),

@@ -5,6 +5,18 @@ Conventions: e(x) = exp(2*pi*i*x); every phase is reduced mod 1 before
 the trigonometric call so that large arguments (f can exceed 1e6
 cycles) keep full precision.  Sums written over an interval (a, b) are
 over integers strictly inside; Kusmin-Landau sums include endpoints.
+
+Every direct sum, and the dual sum of the monomial transform, goes
+through one kernel, `_phase_sum` (stationary_phase_generic, which solves
+for a root per term, keeps its own loop).  The kernel takes the phases
+of at most SUM_CHUNK consecutive integers at a time as a numpy array and
+adds the chunk's terms in order with np.cumsum, so each sum is
+bit-identical to adding e(f(n)) term by term in a Python loop, with
+memory bounded by the chunk.  Powers stay on libm's pow, one call per
+term: numpy's float64 power differs from it in the last bit on a few
+percent of inputs, which would move reported sums.  The number of terms
+is known from the endpoints before any phase is evaluated, and a sum of
+more than MAX_SUM_TERMS terms is refused with ResourceError.
 """
 
 from __future__ import annotations
@@ -13,6 +25,8 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import truediv
 from pathlib import Path
 from typing import Callable, ClassVar, Optional
 
@@ -23,25 +37,70 @@ from .errors import RangeError, ResourceError, RootBracketError
 # Largest P^2 (entries of the phase-difference kernel) mean_value_integral builds.
 MAX_KERNEL_ENTRIES = 5_000_000
 
+# Most terms one direct or dual sum evaluates: about 5 s of work at the
+# 0.5 us per term measured on a 2-core x86 machine.  The benchmark's
+# largest sums have about 3*10^5 terms.
+MAX_SUM_TERMS = 10_000_000
+
+# Terms per numpy step of _phase_sum: its arrays stay under a megabyte.
+SUM_CHUNK = 1 << 13
+
 
 def e_of(x: float) -> complex:
     """e(x) with argument reduction mod 1."""
     return cmath.exp(2j * math.pi * math.fmod(x, 1.0))
 
 
-def _phase_sum(f: Callable[[float], float], ns: range) -> complex:
-    """Sum of e(f(n)) over ns, accumulated in order."""
+def _phase_sum(ns: range, phases: Callable[[range], np.ndarray],
+               weights: Optional[Callable[[range], np.ndarray]] = None) -> complex:
+    """Sum of w(n) * e(f(n)) over ns in order, w = 1 when weights is None.
+
+    phases (and weights) map a chunk of at most SUM_CHUNK consecutive
+    integers of ns to the float64 array of f(n) (and of w(n)).  The running
+    total goes into slot 0 of the chunk's terms and np.cumsum adds left to
+    right, so the result is bit-identical to `total += w(n) * e_of(f(n))`
+    term by term; np.sum would add pairwise and change the last bits.
+    """
     total = 0j
-    for n in ns:
-        total += e_of(f(n))
+    for start in range(0, len(ns), SUM_CHUNK):
+        chunk = ns[start:start + SUM_CHUNK]
+        terms = np.empty(len(chunk) + 1, dtype=complex)
+        terms[0] = total
+        terms[1:] = np.exp(2j * math.pi * np.fmod(phases(chunk), 1.0))
+        if weights is not None:
+            terms[1:] *= weights(chunk)
+        total = complex(np.cumsum(terms)[-1])
     return total
 
 
-def _interior_integers(lo: float, hi: float) -> range:
-    """Integers strictly between lo and hi (ties at either end excluded)."""
-    start = math.floor(lo) + 1
-    stop = math.ceil(hi) - 1
-    return range(start, stop + 1)
+def _values(f: Callable[[float], float], ns: range) -> np.ndarray:
+    """f(n) for each n in ns, called once per term, as a float64 array."""
+    return np.fromiter(map(f, ns), dtype=float, count=len(ns))
+
+
+def _ratios(ns: range, scale: float) -> np.ndarray:
+    """n / scale with Python's int-by-float division (exact for every int)."""
+    return np.fromiter(map(truediv, ns, repeat(scale)), dtype=float, count=len(ns))
+
+
+def _pow(x: np.ndarray, a: float) -> np.ndarray:
+    """x**a by libm's pow, one call per entry, as Python's float ** float computes it."""
+    return np.fromiter(map(math.pow, x.tolist(), repeat(a)), dtype=float, count=len(x))
+
+
+def _interior_integers(lo: float, hi: float, what: str) -> range:
+    """Integers strictly between lo and hi (ties at either end excluded).
+
+    The count comes from the endpoints alone: a range of more than
+    MAX_SUM_TERMS integers, or one with an infinite end, is refused with
+    ResourceError before the sum named by `what` evaluates anything.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ResourceError(f"{what} runs over the unbounded range ({lo}, {hi})")
+    ns = range(math.floor(lo) + 1, math.ceil(hi))
+    if ns.stop - ns.start > MAX_SUM_TERMS:
+        raise ResourceError(f"{what} of {ns.stop - ns.start} terms exceeds cap {MAX_SUM_TERMS}")
+    return ns
 
 
 @dataclass(frozen=True)
@@ -58,6 +117,9 @@ class PhaseSpec:
     eta: float
 
     def validate(self) -> None:
+        for name in ("alpha", "y", "n_scale", "eta"):
+            if not math.isfinite(getattr(self, name)):
+                raise RangeError(f"{name} must be finite, got {getattr(self, name)}")
         if self.alpha == 0:
             raise RangeError("alpha must be nonzero")
         if self.y < 0:
@@ -91,19 +153,48 @@ class PhaseSpec:
         return c * (x / self.n_scale) ** (self.alpha - 3)
 
 
-def direct_monomial_sum(p: PhaseSpec) -> complex:
-    """Sum of e(f(n)) over integers strictly inside (n_scale, eta*n_scale)."""
+def _monomial_range(p: PhaseSpec) -> range:
     p.validate()
-    return _phase_sum(p.f, _interior_integers(p.n_scale, p.eta * p.n_scale))
+    return _interior_integers(p.n_scale, p.eta * p.n_scale, "direct sum")
+
+
+def direct_monomial_sum(p: PhaseSpec) -> complex:
+    """Sum of e(f(n)) over integers strictly inside (n_scale, eta*n_scale).
+
+    Each chunk's phases are p.f in array form, (y/alpha) * pow(n/n_scale, alpha).
+    """
+    ns = _monomial_range(p)
+    scale = p.y / p.alpha
+    return _phase_sum(ns, lambda chunk: scale * _pow(_ratios(chunk, p.n_scale), p.alpha))
 
 
 def monomial_term_count(p: PhaseSpec) -> int:
-    return len(_interior_integers(p.n_scale, p.eta * p.n_scale))
+    """Terms of direct_monomial_sum, refused (ResourceError) past MAX_SUM_TERMS."""
+    return len(_monomial_range(p))
 
 
 def vdc_transform_budget(p: PhaseSpec) -> float:
     """Error allowance for the monomial transform: n_scale/sqrt(y) + log y."""
     return p.n_scale / math.sqrt(p.y) + math.log(p.y)
+
+
+def _dual_range(p: PhaseSpec) -> range:
+    p.validate()
+    if p.alpha >= 1 and p.alpha == int(p.alpha):
+        raise RangeError(f"alpha must not be a positive integer, got {p.alpha}")
+    if p.y <= 0:
+        raise RangeError("transform needs y > 0")
+    try:
+        ratio = p.eta ** (p.alpha - 1)
+    except OverflowError:
+        ratio = math.inf
+    c1, c2 = min(1.0, ratio), max(1.0, ratio)
+    return _interior_integers(c1 * p.m_scale, c2 * p.m_scale, "dual sum")
+
+
+def dual_term_count(p: PhaseSpec) -> int:
+    """Terms of the dual sum of vdc_transform_sum, refused (ResourceError) past MAX_SUM_TERMS."""
+    return len(_dual_range(p))
 
 
 def vdc_transform_sum(p: PhaseSpec) -> tuple[complex, float]:
@@ -116,26 +207,18 @@ def vdc_transform_sum(p: PhaseSpec) -> tuple[complex, float]:
     * e(sign(alpha-1)/8 - (y/beta)*(m/m_scale)**beta).
     An empty dual range returns value 0 with the full budget.
     """
-    p.validate()
-    if p.alpha >= 1 and p.alpha == int(p.alpha):
-        raise RangeError(f"alpha must not be a positive integer, got {p.alpha}")
-    if p.y <= 0:
-        raise RangeError("transform needs y > 0")
+    dual = _dual_range(p)
     m_scale = p.m_scale
     beta = p.beta
-    ratio = p.eta ** (p.alpha - 1)
-    c1, c2 = min(1.0, ratio), max(1.0, ratio)
     budget = vdc_transform_budget(p)
-    dual = _interior_integers(c1 * m_scale, c2 * m_scale)
     if len(dual) == 0:
         return 0j, budget
     amp = math.sqrt(abs(beta - 1) * p.y)
     offset = 0.125 if p.alpha > 1 else -0.125
-    total = 0j
-    for m in dual:
-        u = m / m_scale
-        phase = offset - (p.y / beta) * u**beta
-        total += (u ** (beta / 2) / m) * e_of(phase)
+    scale = p.y / beta
+    total = _phase_sum(dual,
+                       lambda ms: offset - scale * _pow(_ratios(ms, m_scale), beta),
+                       lambda ms: _pow(_ratios(ms, m_scale), beta / 2) / _values(float, ms))
     return amp * total, budget
 
 
@@ -194,8 +277,8 @@ def monomial_phase(p: PhaseSpec) -> GenericPhase:
 
 
 def direct_phase_sum(g: GenericPhase) -> complex:
-    """Sum of e(f(n)) over integers strictly inside (a, b)."""
-    return _phase_sum(g.f, _interior_integers(g.a, g.b))
+    """Sum of e(f(n)) over integers strictly inside (a, b), calling g.f once per term."""
+    return _phase_sum(_interior_integers(g.a, g.b, "direct sum"), lambda ns: _values(g.f, ns))
 
 
 def _solve_df_equals(g: GenericPhase, m: int) -> float:
@@ -260,7 +343,7 @@ def stationary_phase_generic(g: GenericPhase) -> tuple[complex, float]:
     spread = abs(fb - fa)
     budget = (1.0 / math.sqrt(min_d2) if min_d2 > 0 else math.inf) + math.log(spread + 2.0)
     total = 0j
-    for m in _interior_integers(lo_val, hi_val):
+    for m in _interior_integers(lo_val, hi_val, "dual sum"):
         x_m = _solve_df_equals(g, m)
         d2 = g.d2f(x_m)
         offset = 0.125 if d2 > 0 else -0.125
@@ -282,18 +365,22 @@ def kusmin_landau_check(g: GenericPhase, lam: float) -> KusminReport:
     The hypothesis (f' monotone, circle distance of f' to the integers
     at least lam) is the caller's to assert; f' is spot-checked at every
     n, or every (len // 2000)-th n on ranges of 4000 integers or more, and
-    a RangeError is raised on violation.
+    a RangeError is raised on violation.  A range of more than
+    MAX_SUM_TERMS integers is refused with ResourceError before f' or f
+    is called.
     """
     if not 0 < lam < 1:
         raise RangeError(f"lam must lie in (0, 1), got {lam}")
-    ns = range(math.ceil(g.a), math.floor(g.b) + 1)
+    if not (math.isfinite(g.a) and math.isfinite(g.b)):
+        raise RangeError(f"endpoints must be finite, got [{g.a}, {g.b}]")
+    ns = _interior_integers(math.ceil(g.a) - 1, math.floor(g.b) + 1, "Kusmin-Landau sum")
     step = max(1, len(ns) // 2000)
     for n in ns[::step]:
         d = g.df(n)
         dist = abs(d - round(d))
         if dist < lam - 1e-12:
             raise RangeError(f"sampled ||f'({n})|| = {dist} < lam = {lam}")
-    magnitude = abs(_phase_sum(g.f, ns))
+    magnitude = abs(_phase_sum(ns, lambda chunk: _values(g.f, chunk)))
     bound = 1.0 / math.tan(math.pi * lam / 2)
     return KusminReport(magnitude=magnitude, bound=bound, passed=magnitude <= bound + 1e-9)
 
@@ -315,6 +402,8 @@ class MeanValueSpec:
     rel_tol: ClassVar[float] = 1e-4
 
     def validate(self) -> None:
+        if not math.isfinite(self.y_max):
+            raise RangeError(f"y_max must be finite, got {self.y_max}")
         if self.y_max <= 0:
             raise RangeError(f"y_max must be positive, got {self.y_max}")
         if self.i1[0] > self.i1[1] or self.i2[0] > self.i2[1]:

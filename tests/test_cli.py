@@ -144,6 +144,36 @@ def test_kusmin_violated_hypothesis_exits_2(capsys):
     assert out == "" and "lam" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["expsum-direct", "--alpha", "0.5", "--y", "1", "--n-scale", "10", "--eta", "inf"], "finite"),
+    (["expsum-vdc", "--alpha", "nan", "--y", "1", "--n-scale", "10", "--eta", "2"], "finite"),
+    (["kusmin", "--coef", "0.3", "--a", "1", "--b", "inf", "--lam", "0.1"], "finite"),
+    (["kusmin", "--coef", "0.3", "--a", "-5", "--b", "5", "--power", "1.5", "--lam", "0.1"],
+     "not real"),
+    (["kusmin", "--coef", "0.3", "--a", "0", "--b", "5", "--power", "0.5", "--lam", "0.1"],
+     "n = 0"),
+    (["meanvalue", "--k", "1", "--n-lo", "1", "--n-hi", "2", "--u-lo", "1", "--u-hi", "2",
+      "--y-max", "nan"], "finite"),
+])
+def test_non_finite_or_complex_phase_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["expsum-direct", "--alpha", "0.5", "--y", "1", "--n-scale", "1e30", "--eta", "2"],
+    # about 3*10^28 dual terms, past every int a range can measure
+    ["expsum-vdc", "--alpha", "0.5", "--y", "1e30", "--n-scale", "10", "--eta", "2"],
+    ["kusmin", "--coef", "0.3", "--a", "1", "--b", "1e12", "--lam", "0.1"],
+])
+def test_sums_past_term_cap_exit_3_before_any_phase(capsys, monkeypatch, argv):
+    monkeypatch.setattr(expsum, "_phase_sum", lambda *a: pytest.fail("summed"))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 3
+    assert out == "" and "resource limit" in err
+
+
 def test_meanvalue_matches_library(capsys):
     code, out, _ = run_cli(capsys, [
         "meanvalue", "--k", "1", "--n-lo", "1", "--n-hi", "2",

@@ -1,18 +1,20 @@
 """Exponential sums, stationary-phase transforms and mean-value integrals."""
 
+import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powfrac import RangeError, RootBracketError
-from powfrac.expsum import (GenericPhase, MeanValueSpec, PhaseSpec,
+from powfrac import RangeError, ResourceError, RootBracketError, expsum
+from powfrac.expsum import (MAX_SUM_TERMS, SUM_CHUNK, GenericPhase, MeanValueSpec, PhaseSpec,
                             calibrate_mean_value_shortening,
                             calibrate_pair_count_vs_mean_value, direct_monomial_sum,
-                            direct_phase_sum, kusmin_landau_check,
+                            direct_phase_sum, dual_term_count, kusmin_landau_check,
                             mean_value_integral, monomial_phase, monomial_term_count,
                             phase_pair_count, power_phase, read_calibration,
                             stationary_phase_generic, vdc_transform_sum,
@@ -48,6 +50,139 @@ def test_direct_sum_validation():
         direct_monomial_sum(PhaseSpec(0.5, 1.0, 10.0, 1.0))
     with pytest.raises(RangeError):
         direct_monomial_sum(PhaseSpec(0.5, -1.0, 10.0, 2.0))
+    for bad in (math.inf, -math.inf, math.nan):
+        for spec in (PhaseSpec(bad, 1.0, 10.0, 2.0), PhaseSpec(0.5, bad, 10.0, 2.0),
+                     PhaseSpec(0.5, 1.0, bad, 2.0), PhaseSpec(0.5, 1.0, 10.0, bad)):
+            with pytest.raises(RangeError, match="finite"):
+                direct_monomial_sum(spec)
+            with pytest.raises(RangeError, match="finite"):
+                vdc_transform_sum(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    PhaseSpec(0.5, 1.0, 1e30, 2.0),              # 10^30 direct terms
+    PhaseSpec(0.5, 1.0, 1e300, 1e300),           # eta * n_scale overflows to inf
+])
+def test_direct_sum_refused_past_term_cap(spec, monkeypatch):
+    monkeypatch.setattr(expsum, "_phase_sum", lambda *a: pytest.fail("summed"))
+    with pytest.raises(ResourceError):
+        monomial_term_count(spec)
+    with pytest.raises(ResourceError):
+        direct_monomial_sum(spec)
+
+
+@pytest.mark.parametrize("spec", [
+    PhaseSpec(0.5, 1e30, 10.0, 2.0),             # m_scale = 10^29: about 3*10^28 dual terms
+    PhaseSpec(400.5, 1.0, 10.0, 10.0),           # eta**(alpha - 1) overflows
+])
+def test_dual_sum_refused_past_term_cap(spec, monkeypatch):
+    monkeypatch.setattr(expsum, "_phase_sum", lambda *a: pytest.fail("summed"))
+    with pytest.raises(ResourceError):
+        dual_term_count(spec)
+    with pytest.raises(ResourceError):
+        vdc_transform_sum(spec)
+
+
+def test_term_cap_is_inclusive():
+    # MAX_SUM_TERMS integers lie strictly inside (1, MAX_SUM_TERMS + 2)
+    assert monomial_term_count(PhaseSpec(0.5, 1.0, 1.0, MAX_SUM_TERMS + 2.0)) == MAX_SUM_TERMS
+    with pytest.raises(ResourceError):
+        monomial_term_count(PhaseSpec(0.5, 1.0, 1.0, MAX_SUM_TERMS + 2.5))
+
+
+# The per-term loops that the chunked kernel replaced, kept as its oracle: the
+# kernel must reproduce them bit for bit, so the tests compare with ==.
+def _e(x):
+    return cmath.exp(2j * math.pi * math.fmod(x, 1.0))
+
+
+def _loop_phase_sum(f, ns):
+    total = 0j
+    for n in ns:
+        total += _e(f(n))
+    return total
+
+
+def _loop_dual_sum(p):
+    """The dual sum of vdc_transform_sum, one term at a time."""
+    m_scale = p.m_scale
+    beta = p.beta
+    ratio = p.eta ** (p.alpha - 1)
+    c1, c2 = min(1.0, ratio), max(1.0, ratio)
+    dual = range(math.floor(c1 * m_scale) + 1, math.ceil(c2 * m_scale))
+    if len(dual) == 0:
+        return 0j
+    amp = math.sqrt(abs(beta - 1) * p.y)
+    offset = 0.125 if p.alpha > 1 else -0.125
+    total = 0j
+    for m in dual:
+        u = m / m_scale
+        phase = offset - (p.y / beta) * u**beta
+        total += (u ** (beta / 2) / m) * _e(phase)
+    return amp * total
+
+
+_nonzero = st.floats(-3, 3).filter(lambda a: abs(a) > 1e-3)
+
+
+@st.composite
+def phase_specs(draw):
+    """Monomial phases with up to 3 * SUM_CHUNK direct and dual terms, drawn directly.
+
+    alpha is integral (negative included) or not.  The dual range has about
+    |eta**(alpha-1) - 1| * m_scale terms, with m_scale = y / n_scale.
+    """
+    alpha = draw(st.one_of(st.sampled_from([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0]), _nonzero))
+    n_scale = draw(st.floats(0.5, 1e4))
+    eta = 1 + draw(st.floats(1e-3, 3 * SUM_CHUNK)) / n_scale
+    spread = abs(eta ** (alpha - 1) - 1) or 1.0
+    y = n_scale * draw(st.floats(0, 3 * SUM_CHUNK)) / spread
+    return PhaseSpec(alpha, y, n_scale, eta)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(phase_specs())
+def test_monomial_sums_equal_the_per_term_loop(p):
+    ns = range(math.floor(p.n_scale) + 1, math.ceil(p.eta * p.n_scale))
+    assert direct_monomial_sum(p) == _loop_phase_sum(p.f, ns)
+    if p.y > 0 and not (p.alpha >= 1 and p.alpha == int(p.alpha)):
+        value, _ = vdc_transform_sum(p)
+        assert value == _loop_dual_sum(p)
+
+
+@st.composite
+def kusmin_phases(draw):
+    """f' rises linearly from c0 to c1 inside (0, 1) on [a, b]: the Kusmin-Landau
+    hypothesis holds with lam = min(c0, 1 - c1)."""
+    a = draw(st.floats(-50, 50))
+    b = a + draw(st.floats(0, 3 * SUM_CHUNK))
+    c0, c1 = draw(st.floats(0.05, 0.45)), draw(st.floats(0.55, 0.95))
+    d = (c1 - c0) / (b - a) if b > a else 0.0
+    phase = GenericPhase(f=lambda x: c0 * x + d * (x - a) ** 2 / 2, df=lambda x: c0 + d * (x - a),
+                         d2f=lambda x: d, a=a, b=b)
+    return phase, min(c0, 1 - c1)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(kusmin_phases())
+def test_generic_sums_equal_the_per_term_loop(case):
+    g, lam = case
+    inside = range(math.floor(g.a) + 1, math.ceil(g.b))
+    assert direct_phase_sum(g) == _loop_phase_sum(g.f, inside)
+    closed = range(math.ceil(g.a), math.floor(g.b) + 1)
+    assert kusmin_landau_check(g, lam).magnitude == abs(_loop_phase_sum(g.f, closed))
+
+
+def test_direct_sum_memory_is_bounded_by_the_chunk():
+    p = PhaseSpec(1.5, 5e5, 3e5, 2.0)  # about 3*10^5 terms
+    assert monomial_term_count(p) > 299_000
+    tracemalloc.start()
+    try:
+        direct_monomial_sum(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 def test_transform_rejects_positive_integer_alpha():
@@ -166,6 +301,18 @@ def test_kusmin_landau_rejects_violated_hypothesis():
         kusmin_landau_check(_linear_phase(0.1, 1, 20), 0.3)
     with pytest.raises(RangeError):
         kusmin_landau_check(_linear_phase(0.3, 1, 7), 0.0)
+    for a, b in ((1, math.inf), (-math.inf, 5), (math.nan, 5), (1, math.nan)):
+        with pytest.raises(RangeError, match="finite"):
+            kusmin_landau_check(_linear_phase(0.3, a, b), 0.3)
+
+
+def test_kusmin_landau_refused_past_term_cap_before_any_call():
+    def fail(x):
+        pytest.fail("evaluated the phase")
+
+    phase = GenericPhase(f=fail, df=fail, d2f=fail, a=0.0, b=float(MAX_SUM_TERMS))
+    with pytest.raises(ResourceError):
+        kusmin_landau_check(phase, 0.3)
 
 
 def test_kusmin_landau_random_monotone_monomials():
@@ -190,6 +337,12 @@ def test_kusmin_landau_random_monotone_monomials():
         lam = min(p_lo, 1 - p_hi)
         r = kusmin_landau_check(phase, lam)
         assert r.passed
+
+
+def test_mean_value_spec_rejects_non_finite_y_max():
+    for y_max in (math.nan, math.inf):
+        with pytest.raises(RangeError, match="finite"):
+            mean_value_integral(MeanValueSpec(power_phase(1), (1, 2), (1, 2), y_max))
 
 
 def test_mean_value_zero_phase():
