@@ -103,6 +103,17 @@ def _interior_integers(lo: float, hi: float, what: str) -> range:
     return ns
 
 
+def _finite(fn: Callable[[float], float], x: float, what: str) -> float:
+    """fn(x), refused with RangeError when it overflows the float range."""
+    try:
+        value = fn(x)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise RangeError(f"{what}({x:.17g}) = {value} is past the float range")
+    return value
+
+
 @dataclass(frozen=True)
 class PhaseSpec:
     """Monomial phase f(x) = (y/alpha) * (x/n_scale)**alpha on (n_scale, eta*n_scale).
@@ -154,8 +165,14 @@ class PhaseSpec:
 
 
 def _monomial_range(p: PhaseSpec) -> range:
+    """The summed integers.  RangeError when f at the far endpoint eta*n_scale is
+    past the float range: for alpha > 0 that is the largest |f|, and for alpha < 0
+    it is infinite whenever the largest, f(n_scale) = y/alpha, is."""
     p.validate()
-    return _interior_integers(p.n_scale, p.eta * p.n_scale, "direct sum")
+    far = p.eta * p.n_scale
+    ns = _interior_integers(p.n_scale, far, "direct sum")
+    _finite(p.f, far, "f")
+    return ns
 
 
 def direct_monomial_sum(p: PhaseSpec) -> complex:
@@ -365,7 +382,8 @@ def kusmin_landau_check(g: GenericPhase, lam: float) -> KusminReport:
     The hypothesis (f' monotone, circle distance of f' to the integers
     at least lam) is the caller's to assert; f' is spot-checked at every
     n, or every (len // 2000)-th n on ranges of 4000 integers or more, and
-    a RangeError is raised on violation.  A range of more than
+    a RangeError is raised on violation, or when f' at a sample, or f at
+    either end, is past the float range.  A range of more than
     MAX_SUM_TERMS integers is refused with ResourceError before f' or f
     is called.
     """
@@ -376,10 +394,14 @@ def kusmin_landau_check(g: GenericPhase, lam: float) -> KusminReport:
     ns = _interior_integers(math.ceil(g.a) - 1, math.floor(g.b) + 1, "Kusmin-Landau sum")
     step = max(1, len(ns) // 2000)
     for n in ns[::step]:
-        d = g.df(n)
+        d = _finite(g.df, n, "f'")
         dist = abs(d - round(d))
         if dist < lam - 1e-12:
             raise RangeError(f"sampled ||f'({n})|| = {dist} < lam = {lam}")
+    if ns:
+        # f' is monotone and below 2^53 where sampled, so f is finite inside if at both ends
+        _finite(g.f, ns[0], "f")
+        _finite(g.f, ns[-1], "f")
     magnitude = abs(_phase_sum(ns, lambda chunk: _values(g.f, chunk)))
     bound = 1.0 / math.tan(math.pi * lam / 2)
     return KusminReport(magnitude=magnitude, bound=bound, passed=magnitude <= bound + 1e-9)

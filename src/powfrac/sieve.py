@@ -3,14 +3,17 @@
 The row set of the sieve matrix is {(a, n) : 1 <= n <= n_max,
 1 <= a <= n^k, gcd(a, n) = 1}; columns are m = m_offset+1 .. m_offset+m_len
 with entries e(a*m / n^k).  The optimal sieve constant Delta is the top
-eigenvalue of the m_len x m_len Gram matrix B*B, solved as a smaller
-problem on each route: the dense oracle takes whichever of B*B and BB* has
-side min(P, m_len), since both share their nonzero spectrum; the fast path
-splits the real symmetric Toeplitz Gram matrix, which is centrosymmetric,
-into two blocks of side at most ceil(m_len / 2).  Its column is a sum over
-fraccore.reduced_denominators; each call counts the rows once, in its cap check.
-Phases are reduced as (a*m) mod n^k in exact integers before any float
-enters, so large window offsets lose no accuracy.
+eigenvalue of the m_len x m_len Gram matrix B*B, solved on the smaller side
+by each route, since B*B and BB* share their nonzero spectrum.  The dense
+oracle solves whichever has side min(P, m_len).  The fast path takes the
+same side as two real symmetric blocks of about half that side: for
+P < m_len the Dirichlet kernel sin(pi*M*theta)/sin(pi*theta) at the row
+differences theta, split by the reflection x -> 1 - x of the row set;
+otherwise the Toeplitz Gram matrix, centrosymmetric, whose column is a sum
+over fraccore.reduced_denominators.  Each call counts the rows once, in its
+cap check.  Phases are reduced in exact integers before any float enters,
+(a*m) mod n^k for B and M*theta mod 2 for the kernel, so large window
+offsets lose no accuracy.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ from .fraccore import check_work, reduced_denominators, tuple_count, tuple_count
 DEFAULT_MAX_ENTRIES = 5_000_000
 # sieve_matrix forms a*m with a <= n^k and m < n^k in int64, exact below this modulus.
 _MAX_INT64_MODULUS = 2**31
+# The row-side kernel multiplies residues mod 2*den in int64, exact below this product.
+_MAX_INT64_PRODUCT = 2**63
 
 
 @dataclass(frozen=True)
@@ -125,8 +130,59 @@ def toeplitz_gram_matrix(p: SieveProblem) -> np.ndarray:
     return np.array(windows[::-1], dtype=np.float64)
 
 
-def sieve_gram_eigenvalue(p: SieveProblem) -> float:
-    """The optimal sieve constant: top eigenvalue of the window-side Gram matrix G.
+def _sin_pi(r: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """sin(pi * r / den) for integers 0 <= r < 2*den, taken at the residual
+    s = r - j*den to the nearest multiple j of den, so that |s| <= den / 2 and
+    the float argument keeps its relative accuracy where the sine is small."""
+    j = (2 * r + den) // (2 * den)
+    return np.sin(np.pi * ((r - j * den) / den)) * (1 - 2 * (j % 2))
+
+
+def _dirichlet_kernel(a1, q1, a2, q2, m: int) -> np.ndarray:
+    """sin(pi*m*theta) / sin(pi*theta) at theta = a1/q1 - a2/q2 (broadcast int64
+    arrays), and m where theta = 0.  With theta = num/den and den = q1*q2, both
+    sines take their argument reduced mod 2*den in integers: num for the
+    denominator, (m mod 2*den) * num for the numerator, exact while 4*den^2 < 2^63."""
+    den = q1 * q2
+    two = 2 * den
+    num = (a1 * q2 - a2 * q1) % two
+    top = _sin_pi((m % two) * num % two, den)
+    return np.divide(top, _sin_pi(num, den), out=np.full(num.shape, float(m)), where=num != 0)
+
+
+def _kernel_blocks(p: SieveProblem) -> list[np.ndarray]:
+    """The row-side Gram matrix BB*, conjugated to the real kernel F and split in two.
+
+    BB*[i, j] = sum over the window of e(m*(x_i - x_j)), a geometric sum; the
+    diagonal unitary e(-(m_offset + (m_len+1)/2) * x_i) turns it into
+    F[i, j] = sin(pi*M*theta)/sin(pi*theta), theta = x_i - x_j, which does not
+    depend on the offset (Montgomery, Bull. AMS 84, 1978).  x -> 1 - x maps the
+    rows onto themselves, and F is even, so each pair (x, 1 - x) with x < 1/2
+    gives a plus and a minus block F_LL +- F_(L, 1-L).  Two rows are their own
+    images: 1/2 (k = 1 only), with sign +1, and 1/1, whose image 0 is 1 shifted
+    by an integer, where F(theta + 1) = (-1)^(M-1) F(theta) gives the sign.  Each
+    borders the block of its sign with sqrt(2)*F[L, x] and F among them.
+    """
+    rows = np.array(sieve_rows(p), dtype=np.int64).reshape(-1, 2)
+    a, q = rows[:, 0], rows[:, 1] ** p.k
+    m = p.m_len
+    lower = 2 * a < q
+    al, ql = a[lower, None], q[lower, None]
+    direct = _dirichlet_kernel(al, ql, al.T, ql.T, m)
+    mirror = _dirichlet_kernel(al, ql, (ql - al).T, ql.T, m)
+    fixed = (2 * a == q) | (a == q)
+    plus = (2 * a == q) | (m % 2 == 1)
+    blocks = []
+    for base, members in ((direct + mirror, fixed & plus), (direct - mirror, fixed & ~plus)):
+        af, qf = a[members], q[members]
+        border = math.sqrt(2) * _dirichlet_kernel(al, ql, af, qf, m)
+        corner = _dirichlet_kernel(af[:, None], qf[:, None], af, qf, m)
+        blocks.append(np.block([[base, border], [border.T, corner]]))
+    return blocks
+
+
+def _toeplitz_blocks(p: SieveProblem) -> list[np.ndarray]:
+    """The window-side Gram matrix G split in two.
 
     G is symmetric Toeplitz, so JGJ = G for the exchange matrix J, and its
     spectrum is that of two half-size blocks (Cantoni & Butler, Linear
@@ -136,8 +192,6 @@ def sieve_gram_eigenvalue(p: SieveProblem) -> float:
     carry the middle index too, written (sqrt(2)*x, c): A + BJ bordered by
     sqrt(2)*t[h - i] and t[0].
     """
-    p.validate()
-    check_cap(p)
     t = gram_column(p).astype(np.float64)
     m, h = p.m_len, p.m_len // 2
     i = np.arange(m - h)[:, None]  # for odd m_len the last index is the middle one, h
@@ -147,7 +201,28 @@ def sieve_gram_eigenvalue(p: SieveProblem) -> float:
     if m % 2:
         plus[h, :h] = plus[:h, h] = math.sqrt(2) * t[h:0:-1]
         plus[h, h] = t[0]
-    blocks = ((a - bj)[:h, :h], plus)
+    return [(a - bj)[:h, :h], plus]
+
+
+def sieve_gram_eigenvalue(p: SieveProblem) -> float:
+    """The optimal sieve constant: the top eigenvalue of the Gram matrix, solved
+    on its smaller side as two half-size real symmetric blocks.
+
+    When P < m_len the rows give it, through the Dirichlet kernel F of
+    _kernel_blocks (blocks of side at most P/2 + 1, built from the row
+    fractions alone: no P x m_len array).  Otherwise the window gives it,
+    through the Toeplitz Gram matrix of _toeplitz_blocks (side at most
+    ceil(m_len / 2)).  The kernel's phase products are exact in int64 while
+    4 * den^2 < 2^63 for den = n_max^(2k); past that bound, ResourceError.
+    """
+    p.validate()
+    if check_cap(p) < p.m_len:
+        if 4 * p.n_max ** (4 * p.k) >= _MAX_INT64_PRODUCT:
+            raise ResourceError(f"phase denominators up to {p.n_max}^{2 * p.k} are past "
+                                f"the exact int64 range")
+        blocks = _kernel_blocks(p)
+    else:
+        blocks = _toeplitz_blocks(p)
     return float(max(np.linalg.eigvalsh(b)[-1] for b in blocks if len(b)))
 
 

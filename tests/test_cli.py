@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from powfrac import expsum, fraccore, paircount
+from powfrac import expsum, fraccore, paircount, sieve
 from powfrac.cli import main
 from powfrac.paircount import PairQuery, count_pairs_interval
 from powfrac.sieve import SieveProblem, dense_gram_eigenvalue
@@ -154,6 +154,11 @@ def test_kusmin_violated_hypothesis_exits_2(capsys):
      "n = 0"),
     (["meanvalue", "--k", "1", "--n-lo", "1", "--n-hi", "2", "--u-lo", "1", "--u-hi", "2",
       "--y-max", "nan"], "finite"),
+    # f(20) = 2^2000 / 2000 and f'(10^5) = 3 * 10^310 overflow the float range
+    (["expsum-direct", "--alpha", "2000", "--y", "1", "--n-scale", "10", "--eta", "2"],
+     "float range"),
+    (["kusmin", "--coef", "1e300", "--power", "3", "--a", "1e5", "--b", "1e5", "--lam", "0.1"],
+     "float range"),
 ])
 def test_non_finite_or_complex_phase_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
@@ -253,6 +258,14 @@ def test_sieve_delta_methods_agree(capsys):
     fast, slow = delta("power"), delta("dense")
     assert fast == pytest.approx(slow, rel=1e-6)
     assert slow == pytest.approx(dense_gram_eigenvalue(SieveProblem(2, 2, 3)), rel=1e-12)
+
+
+def test_sieve_delta_past_exact_int64_phases_exits_3(capsys, monkeypatch):
+    # k = 2, N = 3, P < M: the row-side kernel's products reach 4 * (3^4)^2
+    monkeypatch.setattr(sieve, "_MAX_INT64_PRODUCT", 4 * 3**8)
+    code, out, err = run_cli(capsys, ["sieve-delta", "--k", "2", "--n-max", "3", "--m-len", "40"])
+    assert code == 3
+    assert out == "" and "int64" in err
 
 
 def test_sieve_l1_basis_mode(capsys):

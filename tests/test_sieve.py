@@ -32,10 +32,18 @@ _MAX_N = {1: 30, 2: 10, 3: 6, 4: 4}
 
 
 @st.composite
-def sieve_problems(draw):
+def sieve_problems(draw, side=None):
+    """side="M" keeps M <= P (the Toeplitz route), side="P" keeps P < M <= P + 200
+    (the row-side kernel); None draws M up to min(200, 20 000 // P)."""
     k = draw(st.integers(1, 4))
     n_max = draw(st.integers(1, _MAX_N[k]))
-    m_len = draw(st.integers(1, min(200, 20_000 // tuple_count(k, n_max, coprime=True))))
+    rows = tuple_count(k, n_max, coprime=True)
+    lo, hi = 1, min(200, 20_000 // rows)
+    if side == "M":
+        hi = min(hi, rows)
+    elif side == "P":
+        lo, hi = rows + 1, rows + 200
+    m_len = draw(st.integers(lo, hi))
     return SieveProblem(k, n_max, m_len, draw(st.integers(0, 10**9)))
 
 
@@ -62,8 +70,9 @@ def _eigvalsh_calls():
 
 
 # The examples hold M in {1, 2, 3}: an empty skew block, and the bordered middle index.
+# Only M <= P takes the Toeplitz route; for P < M the blocks split the row-side spectrum.
 @settings(derandomize=True, max_examples=60, deadline=None)
-@given(sieve_problems())
+@given(sieve_problems(side="M"))
 @example(SieveProblem(2, 3, 1))
 @example(SieveProblem(1, 5, 2, 11))
 @example(SieveProblem(3, 2, 3, 10**9))
@@ -93,6 +102,75 @@ def test_routes_solve_the_smaller_eigenproblem(p):
     with _eigvalsh_calls() as calls:
         sieve_gram_eigenvalue(p)
     assert all(max(shape) <= (p.m_len + 1) // 2 for shape, _ in calls)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(sieve_problems(side="P"))
+def test_row_side_kernel_matches_dense_oracle(p):
+    slow = dense_gram_eigenvalue(p)
+    assert abs(sieve_gram_eigenvalue(p) - slow) <= 1e-10 * slow
+
+
+# 1/1 is in every row set: it joins the plus block for odd M and the minus block for
+# even M.  1/2 is a row only at k = 1, N >= 2, and always joins the plus block.
+@pytest.mark.parametrize("k, n_max, m_len", [
+    (1, 1, 2), (1, 1, 3), (2, 3, 40), (2, 3, 41), (3, 4, 400), (3, 4, 401),
+    (1, 2, 4), (1, 2, 5), (1, 12, 50), (1, 12, 51),
+])
+def test_row_side_fixed_points_of_the_reflection(k, n_max, m_len):
+    p = SieveProblem(k, n_max, m_len, 12345)
+    assert row_count(p) < m_len
+    with _eigvalsh_calls() as calls:
+        fast = sieve_gram_eigenvalue(p)
+    slow = dense_gram_eigenvalue(p)
+    assert abs(fast - slow) <= 1e-10 * slow
+    # the blocks split the whole row-side spectrum, border rows included
+    split = np.sort(np.concatenate([spectrum for _, spectrum in calls]))
+    b = sieve_matrix(p)
+    full = np.linalg.eigvalsh(b @ b.conj().T)
+    assert split.shape == full.shape
+    assert np.abs(split - full).max() <= 1e-9 * full[-1]
+
+
+# Each sine is taken within a quarter turn of a zero, so the small ones near theta = +-1
+# keep their relative accuracy: sin(pi * r / den) on the unreduced r in [0, 2*den) agrees
+# with the oracle only to about 1e-13 on these problems.
+@pytest.mark.parametrize("k, n_max, m_len", [(1, 30, 300), (2, 10, 1000), (3, 6, 1001),
+                                             (4, 4, 401)])
+def test_row_side_sines_keep_their_relative_accuracy(k, n_max, m_len):
+    p = SieveProblem(k, n_max, m_len)
+    slow = dense_gram_eigenvalue(p)
+    assert abs(sieve_gram_eigenvalue(p) - slow) <= 3e-14 * slow
+
+
+def test_row_side_never_forms_the_window(monkeypatch):
+    p = SieveProblem(2, 6, 1020, 77)
+    expected = sieve_gram_eigenvalue(p)
+    monkeypatch.setattr(sieve, "sieve_matrix", lambda p: pytest.fail("built the P x M matrix"))
+    monkeypatch.setattr(sieve, "gram_column", lambda p: pytest.fail("built the Gram column"))
+    with _eigvalsh_calls() as calls:
+        assert sieve_gram_eigenvalue(p) == expected
+    assert all(max(shape) <= row_count(p) // 2 + 1 for shape, _ in calls)
+
+
+@pytest.mark.parametrize("k, n_max, m_len", [(1, 1, 10), (1, 9, 200), (2, 4, 61), (3, 3, 500)])
+def test_row_side_ignores_the_offset_bit_for_bit(k, n_max, m_len):
+    base = sieve_gram_eigenvalue(SieveProblem(k, n_max, m_len))
+    for offset in (1, 10**6, 10**30 + 7):
+        assert sieve_gram_eigenvalue(SieveProblem(k, n_max, m_len, offset)) == base
+
+
+def test_row_side_refuses_past_exact_int64_phases(monkeypatch):
+    # k = 2, N = 3: the largest kernel denominator is 3^4, and 4 * (3^4)^2 = 4 * 3^8
+    p = SieveProblem(2, 3, 40)
+    monkeypatch.setattr(sieve, "_MAX_INT64_PRODUCT", 4 * 3**8 + 1)
+    assert sieve_gram_eigenvalue(p) > 0
+    monkeypatch.setattr(sieve, "_MAX_INT64_PRODUCT", 4 * 3**8)
+    # the Toeplitz route forms no such products
+    assert sieve_gram_eigenvalue(SieveProblem(2, 3, 9)) > 0
+    monkeypatch.setattr(sieve, "sieve_rows", lambda p: pytest.fail("listed rows past the bound"))
+    with pytest.raises(ResourceError):
+        sieve_gram_eigenvalue(p)
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
