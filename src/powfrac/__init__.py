@@ -1,18 +1,11 @@
 """Exact spacing statistics and large-sieve constants for fractions
 with power denominator."""
 
-from .errors import (CoprimalityError, DimensionError, PowfracError, RangeError,
-                     ResourceError, RootBracketError)
-from .fraccore import (EnumerationSpec, PowerFraction,
-                       circle_distance, compare_fractions, enumerate_tuples,
-                       euler_phi, format_rational, make_fraction,
-                       parse_power_fraction, parse_rational, tuple_count)
-from .paircount import (CoverageProfile, DyadicBlockQuery,
-                        MultiplicativeNearQuery, MultiplicativeNearReport,
-                        PairQuery, ReciprocalPairQuery, count_multiplicative_near,
-                        count_pairs_block,
-                        count_pairs_bruteforce, count_pairs_interval,
-                        count_pairs_reciprocal, coverage_profile,
+from .errors import DimensionError, PowfracError, RangeError, ResourceError, RootBracketError
+from .fraccore import (EnumerationSpec, PowerFraction, circle_distance, enumerate_tuples,
+                       euler_phi, format_rational, parse_rational, tuple_count)
+from .paircount import (CoverageProfile, DyadicBlockQuery, PairQuery, count_pairs_block,
+                        count_pairs_bruteforce, count_pairs_interval, coverage_profile,
                         exceptional_measure, sharpness_study, window_count)
 from .expsum import (GenericPhase, KusminReport, MeanValueSpec, PhaseSpec,
                      direct_monomial_sum, direct_phase_sum, kusmin_landau_check,
@@ -25,16 +18,12 @@ from .sieve import (BoundReport, SieveProblem, classical_bounds,
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoprimalityError", "DimensionError", "PowfracError", "RangeError",
-    "ResourceError", "RootBracketError",
-    "EnumerationSpec", "PowerFraction", "circle_distance",
-    "compare_fractions", "enumerate_tuples", "euler_phi", "format_rational",
-    "make_fraction", "parse_power_fraction", "parse_rational", "tuple_count",
-    "CoverageProfile", "DyadicBlockQuery", "MultiplicativeNearQuery",
-    "MultiplicativeNearReport", "PairQuery", "ReciprocalPairQuery",
-    "count_multiplicative_near", "count_pairs_block",
-    "count_pairs_bruteforce", "count_pairs_interval", "count_pairs_reciprocal",
-    "coverage_profile", "exceptional_measure", "sharpness_study", "window_count",
+    "DimensionError", "PowfracError", "RangeError", "ResourceError", "RootBracketError",
+    "EnumerationSpec", "PowerFraction", "circle_distance", "enumerate_tuples", "euler_phi",
+    "format_rational", "parse_rational", "tuple_count",
+    "CoverageProfile", "DyadicBlockQuery", "PairQuery", "count_pairs_block",
+    "count_pairs_bruteforce", "count_pairs_interval", "coverage_profile",
+    "exceptional_measure", "sharpness_study", "window_count",
     "GenericPhase", "KusminReport", "MeanValueSpec", "PhaseSpec",
     "direct_monomial_sum", "direct_phase_sum", "kusmin_landau_check",
     "mean_value_integral", "monomial_phase", "phase_pair_count", "power_phase",

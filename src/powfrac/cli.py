@@ -25,7 +25,7 @@ from itertools import islice
 import numpy as np
 
 from . import expsum, paircount, sieve
-from .errors import CoprimalityError, DimensionError, RangeError, ResourceError
+from .errors import DimensionError, RangeError, ResourceError
 from .fraccore import (EnumerationSpec, check_work, enumerate_tuples, format_rational,
                        parse_rational, tuple_count_upto)
 
@@ -364,7 +364,8 @@ def build_parser() -> argparse.ArgumentParser:
                   sieve_k, n_max=True)
     sieve_window(arg)
     arg("--method", choices=("power", "dense"), default="power",
-        help="real Toeplitz Gram matrix (default) or the complex dense oracle")
+        help="fast path (default): real half-blocks of the Dirichlet kernel when P < M, "
+             "else of the Toeplitz Gram matrix; or the complex dense oracle")
 
     arg = command("sieve-l1", cmd_sieve_l1, "l1-of-rows sieve sum for a coefficient vector",
                   sieve_k, n_max=True)
@@ -403,7 +404,7 @@ def main(argv=None) -> int:
                   "elapsed_ms": 1000 * (time.perf_counter() - start), "summary": summary}
         _emit(args, report, csv_lines)
         return 0
-    except (RangeError, CoprimalityError, DimensionError, ValueError) as exc:
+    except (RangeError, DimensionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResourceError as exc:

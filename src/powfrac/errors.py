@@ -9,10 +9,6 @@ class RangeError(PowfracError):
     """An argument is outside its admissible integer range."""
 
 
-class CoprimalityError(PowfracError):
-    """Coprime mode was requested but gcd(u, n) > 1."""
-
-
 class ResourceError(PowfracError):
     """Predicted work exceeds the configured resource cap."""
 

@@ -159,10 +159,6 @@ class PhaseSpec:
     def d2f(self, x: float) -> float:
         return (self.y * (self.alpha - 1) / self.n_scale**2) * (x / self.n_scale) ** (self.alpha - 2)
 
-    def d3f(self, x: float) -> float:
-        c = self.y * (self.alpha - 1) * (self.alpha - 2) / self.n_scale**3
-        return c * (x / self.n_scale) ** (self.alpha - 3)
-
 
 def _monomial_range(p: PhaseSpec) -> range:
     """The summed integers.  RangeError when f at the far endpoint eta*n_scale is
@@ -241,18 +237,13 @@ def vdc_transform_sum(p: PhaseSpec) -> tuple[complex, float]:
 
 @dataclass
 class GenericPhase:
-    """Phase on [a, b] given by callables for f and its derivatives.
-
-    Third and fourth derivatives are optional metadata used only by validate().
-    """
+    """Phase on [a, b] given by callables for f, f' and f''."""
 
     f: Callable[[float], float]
     df: Callable[[float], float]
     d2f: Callable[[float], float]
     a: float
     b: float
-    d3f: Optional[Callable[[float], float]] = None
-    d4f: Optional[Callable[[float], float]] = None
 
     def validate(self) -> None:
         """Check supplied derivatives against central differences of f.
@@ -262,15 +253,10 @@ class GenericPhase:
         """
         if not self.b > self.a:
             raise RangeError(f"need b > a, got [{self.a}, {self.b}]")
-        pairs = [(self.f, self.df), (self.df, self.d2f)]
-        if self.d3f is not None:
-            pairs.append((self.d2f, self.d3f))
-        if self.d4f is not None and self.d3f is not None:
-            pairs.append((self.d3f, self.d4f))
         for i in range(1, 10):
             x = self.a + (self.b - self.a) * i / 10
             h = 6e-6 * max(1.0, abs(x))
-            for base, deriv in pairs:
+            for base, deriv in ((self.f, self.df), (self.df, self.d2f)):
                 fd = (base(x + h) - base(x - h)) / (2 * h)
                 claimed = deriv(x)
                 scale = max(abs(claimed), abs(fd), 1e-9)
@@ -287,7 +273,6 @@ def monomial_phase(p: PhaseSpec) -> GenericPhase:
         f=p.f,
         df=p.df,
         d2f=p.d2f,
-        d3f=p.d3f,
         a=p.n_scale,
         b=p.eta * p.n_scale,
     )

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterator
 
-from .errors import CoprimalityError, RangeError, ResourceError
+from .errors import RangeError, ResourceError
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
 
@@ -106,40 +106,8 @@ class PowerFraction:
     def value(self) -> Fraction:
         return Fraction(self.u, self.n**self.k)
 
-    def __str__(self) -> str:
-        return f"{self.u}/{self.n}^{self.k}"
-
     def to_json(self) -> dict:
         return {"u": self.u, "n": self.n, "k": self.k}
-
-
-_POWER_FRACTION_RE = re.compile(r"^(\d+)/(\d+)\^(\d+)$")
-
-
-def parse_power_fraction(text: str, coprime_mode: bool = False) -> PowerFraction:
-    """Inverse of str(PowerFraction); validates like make_fraction."""
-    m = _POWER_FRACTION_RE.match(text.strip())
-    if not m:
-        raise ValueError(f"power fraction must be given as 'u/n^k', got {text!r}")
-    return make_fraction(int(m.group(1)), int(m.group(2)), int(m.group(3)), coprime_mode)
-
-
-def make_fraction(u: int, n: int, k: int, coprime_mode: bool = False) -> PowerFraction:
-    """Validated constructor: 1 <= u <= n^k, optionally gcd(u, n) = 1."""
-    if u < 1 or n < 1 or k < 1:
-        raise RangeError(f"all of u, n, k must be >= 1, got ({u}, {n}, {k})")
-    if u > n**k:
-        raise RangeError(f"numerator {u} exceeds denominator {n}^{k} = {n**k}")
-    if coprime_mode and gcd(u, n) > 1:
-        raise CoprimalityError(f"gcd({u}, {n}) = {gcd(u, n)} > 1")
-    return PowerFraction(u, n, k)
-
-
-def compare_fractions(a: PowerFraction, b: PowerFraction) -> int:
-    """-1 / 0 / +1 as a < b / a == b / a > b, by integer cross-multiplication."""
-    lhs = a.u * b.n**b.k
-    rhs = b.u * a.n**a.k
-    return (lhs > rhs) - (lhs < rhs)
 
 
 @dataclass(frozen=True)

@@ -268,86 +268,6 @@ def count_pairs_block(q: DyadicBlockQuery, closed: bool = False) -> int:
 
 
 @dataclass(frozen=True)
-class ReciprocalPairQuery:
-    """Pairs of (n/M)^k (U/u) values within 1/z over closed dyadic boxes."""
-
-    k: int
-    m: int
-    u: int
-    z: Fraction
-
-    def validate(self) -> None:
-        if min(self.k, self.m, self.u) < 1:
-            raise RangeError("all reciprocal-pair parameters must be >= 1")
-        if self.z <= 0:
-            raise RangeError(f"threshold scale z must be positive, got {self.z}")
-
-
-def count_pairs_reciprocal(q: ReciprocalPairQuery) -> int:
-    """Exact count of ordered pairs with |(n1/M)^k U/u1 - (n2/M)^k U/u2| <= 1/z.
-
-    Ranges are closed: M <= n_i <= 2M, U <= u_i <= 2U.
-    """
-    q.validate()
-    check_work(lambda cap: (q.m + 1) * (q.u + 1) * 2, DEFAULT_MAX_POINTS,
-               "count_pairs_reciprocal tuples")
-    mk = q.m**q.k
-    vals = [
-        Fraction(n**q.k * q.u, mk * u)
-        for n in range(q.m, 2 * q.m + 1)
-        for u in range(q.u, 2 * q.u + 1)
-    ]
-    vals.sort()
-    t = 1 / q.z
-    return _pairs_within(vals, vals, -t, t)
-
-
-@dataclass(frozen=True)
-class MultiplicativeNearQuery:
-    """Pairs with |n1^k v1 - n2^k v2| <= h over n ~ m, v ~ v_start (closed)."""
-
-    k: int
-    m: int
-    v_start: int
-    h: int
-
-    def validate(self) -> None:
-        if min(self.k, self.m, self.v_start) < 1:
-            raise RangeError("all multiplicative-near parameters must be >= 1")
-        if self.h < 0:
-            raise RangeError(f"window h must be >= 0, got {self.h}")
-
-
-@dataclass(frozen=True)
-class MultiplicativeNearReport:
-    count: int
-    divisor_cap: int
-    max_multiplicity: int
-
-
-def count_multiplicative_near(q: MultiplicativeNearQuery) -> MultiplicativeNearReport:
-    """Exact count plus a multiplicity-based a priori cap.
-
-    The cap (#n * #v) * (2h+1) * max_multiplicity dominates the count:
-    each left tuple sees at most 2h+1 integer targets, each realized at
-    most max_multiplicity times.
-    """
-    q.validate()
-    check_work(lambda cap: (q.m + 1) * (q.v_start + 1) * 2, DEFAULT_MAX_POINTS,
-               "count_multiplicative_near tuples")
-    prods = sorted(
-        n**q.k * w
-        for n in range(q.m, 2 * q.m + 1)
-        for w in range(q.v_start, 2 * q.v_start + 1)
-    )
-    count = _pairs_within(prods, prods, -q.h, q.h)
-    max_mult = max(Counter(prods).values())
-    tuples_per_side = (q.m + 1) * (q.v_start + 1)
-    cap = tuples_per_side * (2 * q.h + 1) * max_mult
-    return MultiplicativeNearReport(count=count, divisor_cap=cap, max_multiplicity=max_mult)
-
-
-@dataclass(frozen=True)
 class CoverageProfile:
     """Exact step function x -> number of closed arcs of width 2*radius covering x.
 

@@ -21,10 +21,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import isqrt
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError, RangeError, ResourceError
 from .fraccore import check_work, reduced_denominators, tuple_count, tuple_count_upto
@@ -118,16 +117,6 @@ def gram_column(p: SieveProblem) -> np.ndarray:
     for c, w in reduced_denominators(p.k, p.n_max, True).items():
         t[::c] += w * c  # a step of m_len or more touches only t[0]
     return t
-
-
-def toeplitz_gram_matrix(p: SieveProblem) -> np.ndarray:
-    """The real Gram matrix: one float64 copy of a window view over gram_column."""
-    p.validate()
-    check_cap(p)
-    t = gram_column(p)
-    # Row i of the reversed windows over (t[M-1], .., t[1], t[0], .., t[M-1]) is t[|i - j|].
-    windows = sliding_window_view(np.concatenate((t[:0:-1], t)), p.m_len)
-    return np.array(windows[::-1], dtype=np.float64)
 
 
 def _sin_pi(r: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -247,26 +236,14 @@ def l1_sieve_sum(p: SieveProblem, alpha: Sequence[complex]) -> float:
     return float(np.abs(b @ alpha_arr).sum())
 
 
-def dual_quadratic_form(p: SieveProblem,
-                        coeffs: Mapping[tuple[int, int], complex] | Sequence[complex]) -> float:
-    """Sum over the window of |sum_(a,n) c(a,n) e(a*m/n^k)|^2.
-
-    coeffs is either a mapping keyed by (a, n) (missing rows count as 0;
-    unknown keys raise IndexError) or a dense sequence in row order.
-    """
+def dual_quadratic_form(p: SieveProblem, coeffs: Sequence[complex]) -> float:
+    """Sum over the window of |sum_(a,n) c(a,n) e(a*m/n^k)|^2, with the
+    coefficients c given densely in row order."""
     p.validate()
     rows = check_cap(p)
-    if isinstance(coeffs, Mapping):
-        index = {row: i for i, row in enumerate(sieve_rows(p))}
-        c = np.zeros(len(index), dtype=complex)
-        for key, value in coeffs.items():
-            if key not in index:
-                raise IndexError(f"coefficient key {key} outside the row set")
-            c[index[key]] = value
-    else:
-        c = np.asarray(coeffs, dtype=complex)
-        if c.shape != (rows,):
-            raise DimensionError(f"dense coeffs must have length {rows}, got shape {c.shape}")
+    c = np.asarray(coeffs, dtype=complex)
+    if c.shape != (rows,):
+        raise DimensionError(f"coeffs must have length {rows}, got shape {c.shape}")
     b = sieve_matrix(p)
     return float((np.abs(c @ b) ** 2).sum())
 

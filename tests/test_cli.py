@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import ast
 import importlib.util
 import json
 import time
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import powfrac
 from powfrac import expsum, fraccore, paircount, sieve
 from powfrac.cli import main
 from powfrac.paircount import PairQuery, count_pairs_interval
@@ -476,3 +478,16 @@ def test_traced_names_exist():
     missing = [f"{module}.{name}" for module, names in tracer.TRACED.items()
                for name in names if not hasattr(importlib.import_module(f"powfrac.{module}"), name)]
     assert missing == []
+
+
+def test_public_names_are_exported():
+    """`from powfrac import *` binds all of __all__, and __all__ lists exactly the
+    public names the package imports, so a stale export fails here, not on import."""
+    namespace = {}
+    exec("from powfrac import *", namespace)
+    assert set(powfrac.__all__) <= namespace.keys()
+    tree = ast.parse(Path(powfrac.__file__).read_text())
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    public = {name for name in imported if not name.startswith("_")}
+    assert set(powfrac.__all__) - {"__version__"} == public

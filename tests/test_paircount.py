@@ -10,12 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powfrac import paircount
-from powfrac import (CoverageProfile, DyadicBlockQuery, EnumerationSpec, MultiplicativeNearQuery,
-                     PairQuery, RangeError, ReciprocalPairQuery, ResourceError, circle_distance,
-                     count_multiplicative_near, count_pairs_block, count_pairs_bruteforce,
-                     count_pairs_interval, count_pairs_reciprocal, coverage_profile,
-                     enumerate_tuples, exceptional_measure, sharpness_study, tuple_count,
-                     window_count)
+from powfrac import (CoverageProfile, DyadicBlockQuery, EnumerationSpec, PairQuery, RangeError,
+                     ResourceError, circle_distance, count_pairs_block, count_pairs_bruteforce,
+                     count_pairs_interval, coverage_profile, enumerate_tuples,
+                     exceptional_measure, sharpness_study, tuple_count, window_count)
 from powfrac.fraccore import reduced_denominators
 
 
@@ -196,52 +194,6 @@ def test_exceptional_measure_validation():
         exceptional_measure(prof, 0)
 
 
-def test_reciprocal_examples():
-    assert count_pairs_reciprocal(ReciprocalPairQuery(1, 1, 1, Fraction(1))) == 14
-    # only exact equalities survive a huge z
-    assert count_pairs_reciprocal(ReciprocalPairQuery(1, 1, 1, Fraction(10**6))) == 6
-
-
-def test_reciprocal_count_structure():
-    rng = random.Random(17)
-    for _ in range(10):
-        q = ReciprocalPairQuery(rng.randint(1, 2), rng.randint(1, 3), rng.randint(1, 3),
-                                _random_rational(rng, 1, 20))
-        count = count_pairs_reciprocal(q)
-        tuples = (q.m + 1) * (q.u + 1)
-        assert count >= tuples  # diagonal always within any positive 1/z
-        assert (count - tuples) % 2 == 0
-
-
-def test_multiplicative_examples():
-    r = count_multiplicative_near(MultiplicativeNearQuery(1, 1, 1, 0))
-    assert r.count == 6
-    assert count_multiplicative_near(MultiplicativeNearQuery(1, 1, 1, 4)).count == 16
-    assert count_multiplicative_near(MultiplicativeNearQuery(2, 1, 1, 1)).count == 6
-
-
-def test_multiplicative_refuses_before_listing_products():
-    class Exponent(int):
-        """Raises as soon as a product n**k is formed."""
-
-        def __rpow__(self, base):
-            raise AssertionError("a product was listed before the cap check")
-
-    # 2 * (10^6 + 1)^2 tuples on the two sides, far past the default cap
-    with pytest.raises(ResourceError):
-        count_multiplicative_near(MultiplicativeNearQuery(Exponent(2), 10**6, 10**6, 0))
-
-
-def test_multiplicative_cap_dominates_count():
-    rng = random.Random(23)
-    for _ in range(20):
-        q = MultiplicativeNearQuery(rng.randint(1, 3), rng.randint(1, 6),
-                                    rng.randint(1, 6), rng.randint(0, 30))
-        r = count_multiplicative_near(q)
-        assert r.count <= r.divisor_cap
-        assert r.max_multiplicity >= 1
-
-
 def test_sharpness_study_rows():
     rows = sharpness_study(2, [4, 6, 8])
     assert [r["n"] for r in rows] == [4, 6, 8]
@@ -364,51 +316,6 @@ def test_block_both_paths_match_cross_multiplication(case):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(paircount, "STRIPS_PER_TUPLE", strips)
             assert count_pairs_block(q, closed=closed) == expected, strips
-
-
-def _reciprocal_side(k: int, m: int, u: int) -> list[tuple[int, int]]:
-    """(n^k, u_i) for each value (n/M)^k U/u_i of the closed boxes."""
-    return [(n**k, w) for n in range(m, 2 * m + 1) for w in range(u, 2 * u + 1)]
-
-
-@st.composite
-def reciprocal_queries(draw):
-    k, m, u = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    side = [Fraction(nk * u, m**k * w) for nk, w in _reciprocal_side(k, m, u)]
-    t = _threshold(draw, draw(st.sampled_from(side)), draw(st.sampled_from(side)))
-    return ReciprocalPairQuery(k, m, u, 1 / t)
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(reciprocal_queries())
-def test_reciprocal_sweep_matches_cross_multiplication(q):
-    side = _reciprocal_side(q.k, q.m, q.u)
-    zp, zq = q.z.numerator, q.z.denominator
-    # |U a/(M^k w1) - U b/(M^k w2)| <= 1/z  <=>  U |a w2 - b w1| zp <= zq M^k w1 w2
-    expected = sum(1 for a, w1 in side for b, w2 in side
-                   if q.u * abs(a * w2 - b * w1) * zp <= zq * q.m**q.k * w1 * w2)
-    assert count_pairs_reciprocal(q) == expected
-
-
-def _products(k: int, m: int, v_start: int) -> list[int]:
-    return [n**k * w for n in range(m, 2 * m + 1) for w in range(v_start, 2 * v_start + 1)]
-
-
-@st.composite
-def multiplicative_queries(draw):
-    k, m, v = draw(st.integers(1, 3)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
-    prods = _products(k, m, v)
-    return MultiplicativeNearQuery(k, m, v, abs(draw(st.sampled_from(prods))
-                                                - draw(st.sampled_from(prods))))
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(multiplicative_queries())
-def test_multiplicative_sweep_matches_double_loop(q):
-    prods = _products(q.k, q.m, q.v_start)
-    report = count_multiplicative_near(q)
-    assert report.count == sum(1 for a in prods for b in prods if abs(a - b) <= q.h)
-    assert report.max_multiplicity == max(prods.count(p) for p in prods)
 
 
 def _enumerated_window(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool) -> int:

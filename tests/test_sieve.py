@@ -24,7 +24,6 @@ from powfrac.sieve import (
     sieve_gram_eigenvalue,
     sieve_matrix,
     sieve_rows,
-    toeplitz_gram_matrix,
 )
 
 # Largest n_max drawn for each k; P * M stays <= 20 000 so the dense oracle is cheap.
@@ -80,7 +79,7 @@ def test_centrosymmetric_blocks_split_the_toeplitz_spectrum(p):
     with _eigvalsh_calls() as calls:
         sieve_gram_eigenvalue(p)
     split = np.sort(np.concatenate([spectrum for _, spectrum in calls]))
-    full = np.linalg.eigvalsh(toeplitz_gram_matrix(p))
+    full = np.linalg.eigvalsh(gram_matrix(p))
     assert split.shape == full.shape
     assert np.abs(split - full).max() <= 1e-9 * full[-1]
 
@@ -182,7 +181,9 @@ def test_gram_column_diagonal_is_row_count(p):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(sieve_problems())
 def test_toeplitz_matrix_matches_gram_matrix(p):
-    assert np.abs(toeplitz_gram_matrix(p) - gram_matrix(p)).max() <= 1e-9
+    i = np.arange(p.m_len)
+    toeplitz = gram_column(p)[abs(i[:, None] - i[None, :])]
+    assert np.abs(gram_matrix(p) - toeplitz).max() <= 1e-9
 
 
 def test_single_modulus_delta_is_window_length():
@@ -289,48 +290,32 @@ def test_l1_sum_rejects_wrong_length():
 def test_dual_form_ones_single_row():
     # One row (a=1, n=1), c = (1,): ||c B||^2 sums |row entry|^2 = M.
     p = SieveProblem(k=1, n_max=1, m_len=7)
-    assert dual_quadratic_form(p, {(1, 1): 1.0}) == pytest.approx(7.0, abs=1e-9)
+    assert dual_quadratic_form(p, [1.0]) == pytest.approx(7.0, abs=1e-9)
 
 
 def test_dual_form_zero():
     p = SieveProblem(k=2, n_max=3, m_len=4)
-    rows = sieve_rows(p)
-    coeffs = {key: 0.0 for key in rows}
-    assert dual_quadratic_form(p, coeffs) == 0.0
+    assert dual_quadratic_form(p, np.zeros(row_count(p))) == 0.0
 
 
 def test_dual_form_bounded_by_delta():
     # Dual form <= Delta * sum |c|^2 with the same extremal constant.
     rng = np.random.default_rng(42)
     p = SieveProblem(k=2, n_max=3, m_len=6)
-    rows = sieve_rows(p)
+    rows = row_count(p)
     delta = dense_gram_eigenvalue(p)
     for _ in range(50):
-        phases = rng.uniform(0.0, 1.0, size=len(rows))
-        coeffs = {key: np.exp(2j * np.pi * t) for key, t in zip(rows, phases)}
-        val = dual_quadratic_form(p, coeffs)
-        assert val <= delta * len(rows) * (1.0 + 1e-9)
+        phases = rng.uniform(0.0, 1.0, size=rows)
+        val = dual_quadratic_form(p, np.exp(2j * np.pi * phases))
+        assert val <= delta * rows * (1.0 + 1e-9)
 
 
 def test_dual_form_refuses_before_listing_rows(monkeypatch):
     # P ~ 2.4e12 rows: listing them would never finish
-    monkeypatch.setattr(sieve, "sieve_rows", lambda p: pytest.fail("listed rows past the cap"))
+    monkeypatch.setattr(sieve, "_coprime_residues",
+                        lambda n, k: pytest.fail("listed rows past the cap"))
     with pytest.raises(ResourceError):
-        dual_quadratic_form(SieveProblem(3, 2000, 1), {})
-
-
-def test_dual_form_dense_coeffs_skip_row_listing(monkeypatch):
-    p = SieveProblem(k=2, n_max=3, m_len=4, m_offset=9)
-    coeffs = np.exp(2j * np.pi * np.arange(row_count(p)) / 7)
-    expected = dual_quadratic_form(p, dict(zip(sieve_rows(p), coeffs)))
-    monkeypatch.setattr(sieve, "sieve_rows", lambda p: pytest.fail("listed rows for a dense sequence"))
-    assert dual_quadratic_form(p, coeffs) == expected
-
-
-def test_dual_form_rejects_unknown_row():
-    p = SieveProblem(k=1, n_max=2, m_len=3)
-    with pytest.raises(IndexError):
-        dual_quadratic_form(p, {(2, 2): 1.0})
+        dual_quadratic_form(SieveProblem(3, 2000, 1), np.ones(1))
 
 
 def test_dual_form_rejects_wrong_length_sequence():
@@ -362,8 +347,7 @@ def test_duality_l1_versus_sup_estimate():
         best = max(best, float(np.sum(np.abs(c @ b) ** 2)))
     image = b @ alpha
     witness = np.where(np.abs(image) > 0, image.conj() / np.abs(image), 1.0)
-    coeffs = {key: w for key, w in zip(rows, witness)}
-    witness_val = dual_quadratic_form(p, coeffs)
+    witness_val = dual_quadratic_form(p, witness)
     best = max(best, witness_val)
 
     assert witness_val >= l1**2 * (1.0 - 1e-9)
