@@ -33,6 +33,7 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .errors import RangeError, ResourceError, RootBracketError
+from .paircount import _pairs_within
 
 # Largest P^2 (entries of the phase-difference kernel) mean_value_integral builds.
 MAX_KERNEL_ENTRIES = 5_000_000
@@ -449,25 +450,13 @@ def mean_value_integral(s: MeanValueSpec) -> float:
 def phase_pair_count(s: MeanValueSpec) -> int:
     """Ordered quadruples with |phi(n1,u1) - phi(n2,u2)| <= 1/y_max (float compare).
 
-    Rounded subtraction is monotone, so in sorted order the partners of
-    each phase form a window whose ends only move forward: a two-pointer
-    sweep evaluates the same float predicate as the double loop.
+    One sorted sweep, paircount._pairs_within, tests -t <= phi_j - phi_i <= t:
+    the predicate of the double loop, since fl(b - p) = -fl(p - b).
     """
     s.validate()
-    phis = sorted(
-        s.phi(n, u)
-        for n in range(s.i1[0], s.i1[1] + 1)
-        for u in range(s.i2[0], s.i2[1] + 1)
-    )
+    phis = sorted(s.tables()[0].tolist())
     t = 1.0 / s.y_max
-    count = lo = hi = 0
-    for p in phis:
-        while p - phis[lo] > t:
-            lo += 1
-        while hi < len(phis) and phis[hi] - p <= t:
-            hi += 1
-        count += hi - lo
-    return count
+    return _pairs_within(phis, phis, -t, t)
 
 
 def calibration_entry(lemma_id: str, grid: list[dict], measured_constant: float) -> dict:

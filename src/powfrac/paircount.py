@@ -68,17 +68,17 @@ class PairQuery:
 def _pairs_within(a: Sequence, b: Sequence, lo, hi) -> int:
     """Ordered pairs (v in a, w in b) with lo <= w - v <= hi; a and b sorted.
 
-    Both window edges v + lo and v + hi rise with v, so the two pointers
-    into b only move forward: O(len(a) + len(b)) comparisons.  Ties at
-    either edge count.
+    w - v falls as v rises, so the two pointers into b only move forward:
+    O(len(a) + len(b)) comparisons.  Ties at either edge count.  The test is
+    on differences, so it is exact on Fractions and, on floats, the rounded
+    predicate of the double loop: rounded subtraction is monotone.
     """
     count = start = stop = 0
     n = len(b)
     for v in a:
-        low, high = v + lo, v + hi
-        while start < n and b[start] < low:
+        while start < n and b[start] - v < lo:
             start += 1
-        while stop < n and b[stop] <= high:
+        while stop < n and b[stop] - v <= hi:
             stop += 1
         count += stop - start
     return count

@@ -6,14 +6,15 @@ with entries e(a*m / n^k).  The optimal sieve constant Delta is the top
 eigenvalue of the m_len x m_len Gram matrix B*B, solved on the smaller side
 by each route, since B*B and BB* share their nonzero spectrum.  The dense
 oracle solves whichever has side min(P, m_len).  The fast path takes the
-same side as two real symmetric blocks of about half that side: for
-P < m_len the Dirichlet kernel sin(pi*M*theta)/sin(pi*theta) at the row
-differences theta, split by the reflection x -> 1 - x of the row set;
-otherwise the Toeplitz Gram matrix, centrosymmetric, whose column is a sum
-over fraccore.reduced_denominators.  Each call counts the rows once, in its
-cap check.  Phases are reduced in exact integers before any float enters,
-(a*m) mod n^k for B and M*theta mod 2 for the kernel, so large window
-offsets lose no accuracy.
+same side through one split, _half_blocks: a real symmetric kernel that a
+reflection of its points fixes has the spectrum of two blocks of about half
+the side.  It serves two kernels: for P < m_len the Dirichlet kernel
+sin(pi*M*theta)/sin(pi*theta) at the row differences theta, under x -> 1 - x;
+otherwise the Toeplitz Gram matrix, whose column is a sum over
+fraccore.reduced_denominators, under i -> m_len-1 - i.  Each call counts the
+rows once, in its cap check.  Phases are reduced in exact integers before
+any float enters, (a*m) mod n^k for B and M*theta mod 2 for the kernel, so
+large window offsets lose no accuracy.
 """
 
 from __future__ import annotations
@@ -139,79 +140,66 @@ def _dirichlet_kernel(a1, q1, a2, q2, m: int) -> np.ndarray:
     return np.divide(top, _sin_pi(num, den), out=np.full(num.shape, float(m)), where=num != 0)
 
 
-def _kernel_blocks(p: SieveProblem) -> list[np.ndarray]:
-    """The row-side Gram matrix BB*, conjugated to the real kernel F and split in two.
+def _half_blocks(kernel, lower, mirror, plus_fixed, minus_fixed) -> list[np.ndarray]:
+    """The spectrum of a real symmetric S, fixed by a signed involution J, as two blocks.
 
-    BB*[i, j] = sum over the window of e(m*(x_i - x_j)), a geometric sum; the
-    diagonal unitary e(-(m_offset + (m_len+1)/2) * x_i) turns it into
-    F[i, j] = sin(pi*M*theta)/sin(pi*theta), theta = x_i - x_j, which does not
-    depend on the offset (Montgomery, Bull. AMS 84, 1978).  x -> 1 - x maps the
-    rows onto themselves, and F is even, so each pair (x, 1 - x) with x < 1/2
-    gives a plus and a minus block F_LL +- F_(L, 1-L).  Two rows are their own
-    images: 1/2 (k = 1 only), with sign +1, and 1/1, whose image 0 is 1 shifted
-    by an integer, where F(theta + 1) = (-1)^(M-1) F(theta) gives the sign.  Each
-    borders the block of its sign with sqrt(2)*F[L, x] and F among them.
+    kernel(x, y) gives S on two point arrays.  J swaps each point of lower with
+    the point of mirror in the same place and maps each fixed point to itself,
+    times +1 (plus_fixed) or -1 (minus_fixed).  On the vectors e_x +- J e_x
+    (Cantoni & Butler, Linear Algebra Appl. 13, 1976) S is S_LL +- S_LL',
+    bordered by sqrt(2)*S[L, fixed] for the fixed points of that sign, with
+    S[fixed, fixed] in the corner.  Returns [plus, minus].
     """
-    rows = np.array(sieve_rows(p), dtype=np.int64).reshape(-1, 2)
-    a, q = rows[:, 0], rows[:, 1] ** p.k
-    m = p.m_len
-    lower = 2 * a < q
-    al, ql = a[lower, None], q[lower, None]
-    direct = _dirichlet_kernel(al, ql, al.T, ql.T, m)
-    mirror = _dirichlet_kernel(al, ql, (ql - al).T, ql.T, m)
-    fixed = (2 * a == q) | (a == q)
-    plus = (2 * a == q) | (m % 2 == 1)
+    direct, reflected = kernel(lower, lower), kernel(lower, mirror)
     blocks = []
-    for base, members in ((direct + mirror, fixed & plus), (direct - mirror, fixed & ~plus)):
-        af, qf = a[members], q[members]
-        border = math.sqrt(2) * _dirichlet_kernel(al, ql, af, qf, m)
-        corner = _dirichlet_kernel(af[:, None], qf[:, None], af, qf, m)
-        blocks.append(np.block([[base, border], [border.T, corner]]))
+    for base, fixed in ((direct + reflected, plus_fixed), (direct - reflected, minus_fixed)):
+        border = math.sqrt(2) * kernel(lower, fixed)
+        blocks.append(np.block([[base, border], [border.T, kernel(fixed, fixed)]]))
     return blocks
-
-
-def _toeplitz_blocks(p: SieveProblem) -> list[np.ndarray]:
-    """The window-side Gram matrix G split in two.
-
-    G is symmetric Toeplitz, so JGJ = G for the exchange matrix J, and its
-    spectrum is that of two half-size blocks (Cantoni & Butler, Linear
-    Algebra Appl. 13, 1976): A - BJ on the vectors (x, -Jx) and A + BJ on
-    (x, Jx), where A[i, j] = t[|i - j|] and BJ[i, j] = t[m_len-1 - i - j] for
-    i, j < h = m_len // 2.  For odd m_len the symmetric vectors (x, c, Jx)
-    carry the middle index too, written (sqrt(2)*x, c): A + BJ bordered by
-    sqrt(2)*t[h - i] and t[0].
-    """
-    t = gram_column(p).astype(np.float64)
-    m, h = p.m_len, p.m_len // 2
-    i = np.arange(m - h)[:, None]  # for odd m_len the last index is the middle one, h
-    a = t[abs(i - i.T)]
-    bj = t[m - 1 - i - i.T]
-    plus = a + bj
-    if m % 2:
-        plus[h, :h] = plus[:h, h] = math.sqrt(2) * t[h:0:-1]
-        plus[h, h] = t[0]
-    return [(a - bj)[:h, :h], plus]
 
 
 def sieve_gram_eigenvalue(p: SieveProblem) -> float:
     """The optimal sieve constant: the top eigenvalue of the Gram matrix, solved
-    on its smaller side as two half-size real symmetric blocks.
+    on its smaller side by _half_blocks, as two real symmetric blocks.
 
-    When P < m_len the rows give it, through the Dirichlet kernel F of
-    _kernel_blocks (blocks of side at most P/2 + 1, built from the row
-    fractions alone: no P x m_len array).  Otherwise the window gives it,
-    through the Toeplitz Gram matrix of _toeplitz_blocks (side at most
-    ceil(m_len / 2)).  The kernel's phase products are exact in int64 while
+    When P < m_len the rows give it.  BB*[i, j] = sum over the window of
+    e(m*(x_i - x_j)), a geometric sum; the diagonal unitary
+    e(-(m_offset + (m_len+1)/2) * x_i) turns it into the real Dirichlet kernel
+    F[i, j] = sin(pi*M*theta)/sin(pi*theta), theta = x_i - x_j, which does not
+    depend on the offset (Montgomery, Bull. AMS 84, 1978).  F is even, and
+    x -> 1 - x maps the rows (a, q = n^k) onto themselves: a row with x < 1/2
+    pairs with its mirror (q - a, q).  Two rows are their own images: 1/2
+    (k = 1 only), with sign +1, and 1/1, whose image 0 is 1 shifted by an
+    integer, where F(theta + 1) = (-1)^(M-1) F(theta) gives the sign.  The
+    blocks have side at most P/2 + 1 and come from the row fractions alone: no
+    P x m_len array.  The kernel's phase products are exact in int64 while
     4 * den^2 < 2^63 for den = n_max^(2k); past that bound, ResourceError.
+
+    Otherwise the window gives it: G[i, j] = t[|i - j|] for the Toeplitz
+    column t, which the exchange i -> m_len-1 - i fixes.  The indices
+    i < m_len // 2 pair with their mirrors, and the middle index of an odd
+    m_len is its own image, with sign +1: blocks of side at most ceil(m_len / 2).
     """
     p.validate()
-    if check_cap(p) < p.m_len:
+    m = p.m_len
+    if check_cap(p) < m:
         if 4 * p.n_max ** (4 * p.k) >= _MAX_INT64_PRODUCT:
             raise ResourceError(f"phase denominators up to {p.n_max}^{2 * p.k} are past "
                                 f"the exact int64 range")
-        blocks = _kernel_blocks(p)
+        rows = np.array(sieve_rows(p), dtype=np.int64).reshape(-1, 2)
+        rows[:, 1] **= p.k
+        a, q = rows.T
+        lower = 2 * a < q
+        fixed = (2 * a == q) | (a == q)
+        plus = (2 * a == q) | (m % 2 == 1)
+        blocks = _half_blocks(
+            lambda x, y: _dirichlet_kernel(x[:, :1], x[:, 1:], y[:, 0], y[:, 1], m),
+            rows[lower], np.stack([q - a, q], axis=1)[lower], rows[fixed & plus], rows[fixed & ~plus])
     else:
-        blocks = _toeplitz_blocks(p)
+        t = gram_column(p).astype(np.float64)
+        lower = np.arange(m // 2)
+        blocks = _half_blocks(lambda x, y: t[abs(x[:, None] - y)], lower, m - 1 - lower,
+                              np.arange(m // 2, m - m // 2), lower[:0])
     return float(max(np.linalg.eigvalsh(b)[-1] for b in blocks if len(b)))
 
 
@@ -239,12 +227,10 @@ def l1_sieve_sum(p: SieveProblem, alpha: Sequence[complex]) -> float:
 def dual_quadratic_form(p: SieveProblem, coeffs: Sequence[complex]) -> float:
     """Sum over the window of |sum_(a,n) c(a,n) e(a*m/n^k)|^2, with the
     coefficients c given densely in row order."""
-    p.validate()
-    rows = check_cap(p)
-    c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (rows,):
-        raise DimensionError(f"coeffs must have length {rows}, got shape {c.shape}")
     b = sieve_matrix(p)
+    c = np.asarray(coeffs, dtype=complex)
+    if c.shape != (len(b),):
+        raise DimensionError(f"coeffs must have length {len(b)}, got shape {c.shape}")
     return float((np.abs(c @ b) ** 2).sum())
 
 
@@ -269,8 +255,7 @@ class BoundReport:
 
 def classical_bounds(k: int, n_max: int, m_len: int) -> BoundReport:
     """Exact evaluation of the four baseline sieve bounds."""
-    if min(k, n_max, m_len) < 1:
-        raise RangeError("k, n_max and m_len must all be >= 1")
+    SieveProblem(k, n_max, m_len).validate()
     square = m_len * n_max ** (k + 1)
     root = isqrt(square)
     cor2: int | float

@@ -449,7 +449,7 @@ def test_output_path_refused_before_work(capsys, monkeypatch, tmp_path, argv, wo
 
 
 @pytest.mark.parametrize("argv, passes", [
-    (["sieve-dual", "--k", "2", "--n-max", "6", "--m-len", "30"], 4),
+    (["sieve-dual", "--k", "2", "--n-max", "6", "--m-len", "30"], 3),
     (["sieve-l1", "--k", "2", "--n-max", "6", "--m-len", "30"], 3),
     (["sieve-delta", "--k", "2", "--n-max", "6", "--m-len", "30"], 2),
     (["sieve-delta", "--k", "2", "--n-max", "6", "--m-len", "30", "--method", "dense"], 2),

@@ -363,6 +363,8 @@ def test_mean_value_theta_bound_enforced():
     spec = MeanValueSpec(power_phase(1), (1, 2), (1, 2), 4.0, theta=lambda n, u: 2.0)
     with pytest.raises(RangeError):
         mean_value_integral(spec)
+    with pytest.raises(RangeError):
+        phase_pair_count(spec)
 
 
 def test_mean_value_bounded_theta_vs_unit_theta():

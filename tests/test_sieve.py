@@ -172,6 +172,30 @@ def test_row_side_refuses_past_exact_int64_phases(monkeypatch):
         sieve_gram_eigenvalue(p)
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_half_blocks_split_any_signed_involution(seed):
+    """A random real symmetric S with JSJ = S, for a J that swaps pairs of points
+    and keeps fixed points of both signs: the two blocks carry its whole spectrum."""
+    rng = np.random.default_rng(seed)
+    pairs, plus, minus = rng.integers(1, 7, size=3)
+    perm = rng.permutation(2 * pairs + plus + minus)
+    lower, mirror = perm[:pairs], perm[pairs:2 * pairs]
+    plus_fixed, minus_fixed = perm[2 * pairs:2 * pairs + plus], perm[2 * pairs + plus:]
+    j = np.zeros((len(perm), len(perm)))
+    j[lower, mirror] = j[mirror, lower] = 1
+    j[plus_fixed, plus_fixed] = 1
+    j[minus_fixed, minus_fixed] = -1
+    a = rng.standard_normal(j.shape)
+    s = a + a.T
+    s += j @ s @ j
+    blocks = sieve._half_blocks(lambda x, y: s[np.ix_(x, y)], lower, mirror,
+                                plus_fixed, minus_fixed)
+    assert [len(b) for b in blocks] == [pairs + plus, pairs + minus]
+    split = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b in blocks]))
+    full = np.linalg.eigvalsh(s)
+    assert np.abs(split - full).max() <= 1e-10 * np.abs(full).max()
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(sieve_problems())
 def test_gram_column_diagonal_is_row_count(p):
