@@ -27,7 +27,7 @@ import numpy as np
 from . import expsum, paircount, sieve
 from .errors import DimensionError, RangeError, ResourceError
 from .fraccore import (EnumerationSpec, check_work, enumerate_tuples, format_rational,
-                       parse_rational, tuple_count_upto)
+                       parse_rational, tuple_count)
 
 SCHEMA = 1
 
@@ -70,8 +70,7 @@ def _emit(args, report: dict, csv_lines: list[str] | None) -> None:
 
 def cmd_enumerate(args):
     spec = EnumerationSpec(args.k, args.n_max, args.coprime, args.sorted)
-    spec.validate()
-    count = check_work(lambda cap: tuple_count_upto(spec.k, spec.n_max, spec.coprime, cap),
+    count = check_work(lambda cap: tuple_count(spec.k, spec.n_max, spec.coprime, cap),
                        None, "enumerate tuples")
     shown = list(islice(enumerate_tuples(spec), args.limit))
     fields = {"k": args.k, "n_max": args.n_max, "coprime": args.coprime, "sorted": args.sorted,
@@ -124,9 +123,8 @@ def cmd_measure(args):
 
 
 def _phase_spec(args) -> tuple[expsum.PhaseSpec, dict]:
-    """The validated monomial phase and its report fields."""
+    """The monomial phase and its report fields."""
     spec = expsum.PhaseSpec(args.alpha, args.y, args.n_scale, args.eta)
-    spec.validate()
     return spec, {"alpha": args.alpha, "y": args.y, "n_scale": args.n_scale, "eta": args.eta}
 
 
@@ -190,9 +188,8 @@ def cmd_meanvalue(args):
 
 
 def _sieve_problem(args) -> tuple[sieve.SieveProblem, int, dict]:
-    """The validated problem, its row count and its report fields; refuses past the cap first."""
+    """The problem, its row count and its report fields; refuses past the cap first."""
     problem = sieve.SieveProblem(args.k, args.n_max, args.m_len, args.m_offset)
-    problem.validate()
     p_rows = sieve.check_cap(problem)
     fields = {"k": args.k, "n_max": args.n_max, "m_len": args.m_len, "m_offset": args.m_offset}
     return problem, p_rows, fields

@@ -25,6 +25,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import truediv
 from pathlib import Path
@@ -128,7 +129,7 @@ class PhaseSpec:
     n_scale: float
     eta: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("alpha", "y", "n_scale", "eta"):
             if not math.isfinite(getattr(self, name)):
                 raise RangeError(f"{name} must be finite, got {getattr(self, name)}")
@@ -165,7 +166,6 @@ def _monomial_range(p: PhaseSpec) -> range:
     """The summed integers.  RangeError when f at the far endpoint eta*n_scale is
     past the float range: for alpha > 0 that is the largest |f|, and for alpha < 0
     it is infinite whenever the largest, f(n_scale) = y/alpha, is."""
-    p.validate()
     far = p.eta * p.n_scale
     ns = _interior_integers(p.n_scale, far, "direct sum")
     _finite(p.f, far, "f")
@@ -193,7 +193,6 @@ def vdc_transform_budget(p: PhaseSpec) -> float:
 
 
 def _dual_range(p: PhaseSpec) -> range:
-    p.validate()
     if p.alpha >= 1 and p.alpha == int(p.alpha):
         raise RangeError(f"alpha must not be a positive integer, got {p.alpha}")
     if p.y <= 0:
@@ -269,7 +268,6 @@ class GenericPhase:
 
 def monomial_phase(p: PhaseSpec) -> GenericPhase:
     """The monomial phase as a GenericPhase on [n_scale, eta*n_scale]."""
-    p.validate()
     return GenericPhase(
         f=p.f,
         df=p.df,
@@ -393,7 +391,7 @@ def kusmin_landau_check(g: GenericPhase, lam: float) -> KusminReport:
     return KusminReport(magnitude=magnitude, bound=bound, passed=magnitude <= bound + 1e-9)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeanValueSpec:
     """Square mean of a bilinear exponential sum over y in [-y_max, y_max].
 
@@ -409,7 +407,7 @@ class MeanValueSpec:
     # Relative accuracy that mean_value_integral guarantees (a constant, not an option).
     rel_tol: ClassVar[float] = 1e-4
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not math.isfinite(self.y_max):
             raise RangeError(f"y_max must be finite, got {self.y_max}")
         if self.y_max <= 0:
@@ -417,7 +415,9 @@ class MeanValueSpec:
         if self.i1[0] > self.i1[1] or self.i2[0] > self.i2[1]:
             raise RangeError("integer intervals must be non-empty")
 
+    @cached_property
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(phi, theta) at each (n, u), n-major; evaluated once per spec."""
         phis = []
         thetas = []
         for n in range(self.i1[0], self.i1[1] + 1):
@@ -438,11 +438,10 @@ def mean_value_integral(s: MeanValueSpec) -> float:
     The P x P kernel is refused with ResourceError when P^2 exceeds
     MAX_KERNEL_ENTRIES, before any phase is evaluated.
     """
-    s.validate()
     p = (s.i1[1] - s.i1[0] + 1) * (s.i2[1] - s.i2[0] + 1)
     if p * p > MAX_KERNEL_ENTRIES:
         raise ResourceError(f"mean value kernel of {p}^2 entries exceeds cap {MAX_KERNEL_ENTRIES}")
-    phis, thetas = s.tables()
+    phis, thetas = s.tables
     kernel = 2 * np.sinc(2 * s.y_max * (phis[:, None] - phis[None, :]))
     return float((thetas @ kernel @ thetas.conj()).real)
 
@@ -453,8 +452,7 @@ def phase_pair_count(s: MeanValueSpec) -> int:
     One sorted sweep, paircount._pairs_within, tests -t <= phi_j - phi_i <= t:
     the predicate of the double loop, since fl(b - p) = -fl(p - b).
     """
-    s.validate()
-    phis = sorted(s.tables()[0].tolist())
+    phis = sorted(s.tables[0].tolist())
     t = 1.0 / s.y_max
     return _pairs_within(phis, phis, -t, t)
 

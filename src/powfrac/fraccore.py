@@ -119,7 +119,7 @@ class EnumerationSpec:
     coprime: bool = False
     sorted: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_max < 1:
             raise RangeError(f"n_max must be >= 1, got {self.n_max}")
         if self.k < 1:
@@ -133,19 +133,13 @@ def _base_counts(k: int, n_max: int, coprime: bool) -> Iterator[int]:
         yield n ** (k - 1) * euler_phi(n) if coprime else n**k
 
 
-def tuple_count(k: int, n_max: int, coprime: bool = False) -> int:
-    """Number of tuples the enumeration yields, in closed form.
+def tuple_count(k: int, n_max: int, coprime: bool = False, cap: float = math.inf) -> int:
+    """Number of tuples the enumeration yields, in closed form: sum(n^k), or
+    sum(n^(k-1) * phi(n)) with the gcd filter.
 
-    Without the gcd filter this is sum(n^k); with it, sum(n^(k-1) * phi(n)).
-    """
-    return sum(_base_counts(k, n_max, coprime))
-
-
-def tuple_count_upto(k: int, n_max: int, coprime: bool, cap: int) -> int:
-    """tuple_count when it is at most cap; otherwise the first partial sum past cap.
-
-    A refusal only needs to know that the count passes the cap, so the sum
-    stops there instead of visiting every base.
+    The sum stops at the first partial sum past cap, which it returns: a
+    refusal only needs to know that the count passes the cap, so it need not
+    visit every base.  A count of at most cap is exact.
     """
     total = 0
     for count in _base_counts(k, n_max, coprime):
@@ -184,7 +178,6 @@ def enumerate_tuples(spec: EnumerationSpec) -> Iterator[PowerFraction]:
     ordered by (n, u); implemented as a heap merge of the per-base
     streams (each already sorted), so memory stays O(n_max).
     """
-    spec.validate()
     streams = (_per_base_stream(n, spec.k, spec.coprime) for n in range(1, spec.n_max + 1))
     if spec.sorted:
         yield from heapq.merge(*streams, key=lambda f: (f.value, f.n, f.u))

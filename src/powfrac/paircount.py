@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 
 from .errors import RangeError
 from .fraccore import (EnumerationSpec, check_work, enumerate_tuples, reduced_denominators,
-                       tuple_count_upto)
+                       tuple_count)
 
 # Cap on the tuples a count predicts, unless POWFRAC_MAX_POINTS sets another.
 DEFAULT_MAX_POINTS = 2_000_000
@@ -37,12 +37,13 @@ HALF = Fraction(1, 2)
 ONE = Fraction(1)
 
 
-def _check_tuples(k: int, n_max: int, coprime: bool, what: str) -> int:
-    """Refuse an enumeration past the cap, summing per-base counts only until it passes.
+def _check_tuples(spec: EnumerationSpec | PairQuery, what: str) -> int:
+    """Refuse an enumeration of spec's tuples past the cap, summing per-base counts
+    only until it passes.
 
     Returns the tuple count, which is exact whenever it does not raise.
     """
-    return check_work(lambda cap: tuple_count_upto(k, n_max, coprime, cap),
+    return check_work(lambda cap: tuple_count(spec.k, spec.n_max, spec.coprime, cap),
                       DEFAULT_MAX_POINTS, f"{what} tuples")
 
 
@@ -56,7 +57,7 @@ class PairQuery:
     coprime: bool = False
     metric: str = "line"
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.k < 1 or self.n_max < 1:
             raise RangeError(f"k and n_max must be >= 1, got ({self.k}, {self.n_max})")
         if self.y <= 0:
@@ -176,8 +177,7 @@ def count_pairs_interval(q: PairQuery) -> int:
     w1*w2*_pair_count(c1, c2) over ordered pairs of entries; the count is
     symmetric in (c1, c2), so each unordered pair is counted once.
     """
-    q.validate()
-    tuples = _check_tuples(q.k, q.n_max, q.coprime, "count_pairs_interval")
+    tuples = _check_tuples(q, "count_pairs_interval")
     circle = q.metric == "circle"
     if circle and 1 / q.y >= HALF:
         # every circle distance is at most 1/2 <= 1/y
@@ -193,8 +193,7 @@ def count_pairs_interval(q: PairQuery) -> int:
 
 def count_pairs_bruteforce(q: PairQuery) -> int:
     """O(P^2) oracle for count_pairs_interval; all-integer comparisons."""
-    q.validate()
-    _check_tuples(q.k, q.n_max, q.coprime, "count_pairs_bruteforce")
+    _check_tuples(q, "count_pairs_bruteforce")
     tuples = [(f.u, f.n**q.k) for f in enumerate_tuples(EnumerationSpec(q.k, q.n_max, q.coprime))]
     yp, yq = q.y.numerator, q.y.denominator
     circle = q.metric == "circle"
@@ -224,7 +223,7 @@ class DyadicBlockQuery:
     n2: int
     y: Fraction
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.k, self.u1, self.n1, self.u2, self.n2) < 1:
             raise RangeError("all block parameters must be >= 1")
         if self.y <= 0:
@@ -252,7 +251,6 @@ def count_pairs_block(q: DyadicBlockQuery, closed: bool = False) -> int:
     the pairs of bases outnumber the tuples, and a sorted sweep over the
     tuples of both sides serves.
     """
-    q.validate()
     extra = 1 if closed else 0
     side1 = (q.u1 + extra) * (q.n1 + extra)
     side2 = (q.u2 + extra) * (q.n2 + extra)
@@ -317,8 +315,9 @@ def coverage_profile(k: int, n_max: int, y: Fraction, coprime: bool = True) -> C
     """Sweep the 2*P closed-arc endpoints into an exact coverage step function."""
     if y <= 0:
         raise RangeError(f"threshold scale y must be positive, got {y}")
-    _check_tuples(k, n_max, coprime, "coverage_profile")
-    centers = [f.value % 1 for f in enumerate_tuples(EnumerationSpec(k, n_max, coprime))]
+    spec = EnumerationSpec(k, n_max, coprime)
+    _check_tuples(spec, "coverage_profile")
+    centers = [f.value % 1 for f in enumerate_tuples(spec)]
     p = len(centers)
     r = 1 / y
     if r >= HALF:
@@ -356,7 +355,7 @@ def window_count(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool = T
     """
     if y <= 0:
         raise RangeError(f"threshold scale y must be positive, got {y}")
-    tuples = _check_tuples(k, n_max, coprime, "window_count")
+    tuples = _check_tuples(EnumerationSpec(k, n_max, coprime), "window_count")
     if 1 / y >= HALF:
         # every circle distance is at most 1/2 <= 1/y
         return tuples

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, RangeError, ResourceError
-from .fraccore import check_work, reduced_denominators, tuple_count, tuple_count_upto
+from .fraccore import check_work, reduced_denominators, tuple_count
 
 # Cap on the P x m_len matrix entries, unless POWFRAC_MAX_POINTS sets another.
 DEFAULT_MAX_ENTRIES = 5_000_000
@@ -44,7 +44,7 @@ class SieveProblem:
     m_len: int
     m_offset: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if min(self.k, self.n_max, self.m_len) < 1:
             raise RangeError("k, n_max and m_len must all be >= 1")
         if self.m_offset < 0:
@@ -70,7 +70,7 @@ def check_cap(p: SieveProblem) -> int:
     """Refuse (ResourceError) a P x m_len matrix past the cap, counting rows per
     modulus only until they pass it: rows * m_len > cap exactly when rows > cap // m_len.
     Returns the row count P, exact whenever it does not raise."""
-    return check_work(lambda cap: tuple_count_upto(p.k, p.n_max, True, cap // p.m_len) * p.m_len,
+    return check_work(lambda cap: tuple_count(p.k, p.n_max, True, cap // p.m_len) * p.m_len,
                       DEFAULT_MAX_ENTRIES, "sieve matrix entries") // p.m_len
 
 
@@ -81,7 +81,6 @@ def sieve_matrix(p: SieveProblem) -> np.ndarray:
     int), so a*m stays below n^(2k) and the int64 product is exact while
     n^k < 2^31; larger moduli are refused.
     """
-    p.validate()
     rows = check_cap(p)
     if p.n_max**p.k >= _MAX_INT64_MODULUS:
         raise ResourceError(f"modulus {p.n_max}^{p.k} is past the exact int64 range")
@@ -180,7 +179,6 @@ def sieve_gram_eigenvalue(p: SieveProblem) -> float:
     i < m_len // 2 pair with their mirrors, and the middle index of an odd
     m_len is its own image, with sign +1: blocks of side at most ceil(m_len / 2).
     """
-    p.validate()
     m = p.m_len
     if check_cap(p) < m:
         if 4 * p.n_max ** (4 * p.k) >= _MAX_INT64_PRODUCT:
@@ -214,7 +212,6 @@ def dense_gram_eigenvalue(p: SieveProblem) -> float:
 
 def l1_sieve_sum(p: SieveProblem, alpha: Sequence[complex]) -> float:
     """Sum over rows of |sum_m alpha_m e(a*m/n^k)| (the l1-of-rows functional)."""
-    p.validate()
     alpha_arr = np.asarray(alpha, dtype=complex)
     if alpha_arr.shape != (p.m_len,):
         raise DimensionError(
@@ -255,7 +252,7 @@ class BoundReport:
 
 def classical_bounds(k: int, n_max: int, m_len: int) -> BoundReport:
     """Exact evaluation of the four baseline sieve bounds."""
-    SieveProblem(k, n_max, m_len).validate()
+    SieveProblem(k, n_max, m_len)  # checks the arguments
     square = m_len * n_max ** (k + 1)
     root = isqrt(square)
     cor2: int | float

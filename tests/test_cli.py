@@ -111,6 +111,20 @@ def test_window_count(capsys):
     assert json.loads(out)["count"] == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["window", "--k", "0", "--n-max", "5", "--x", "1/3", "--y", "10/1"],
+    ["window", "--k", "-1", "--n-max", "5", "--x", "1/3", "--y", "10/1"],
+    ["window", "--k", "2", "--n-max", "0", "--x", "1/3", "--y", "10/1"],
+    ["measure", "--k", "0", "--n-max", "1000000000", "--y", "10/1", "--threshold", "1",
+     "--no-coprime"],
+])
+def test_bad_exponent_or_base_range_exits_2_before_counting(capsys, monkeypatch, argv):
+    monkeypatch.setattr(fraccore, "_base_counts", lambda *a: pytest.fail("counted tuples"))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == "" and "must be >= 1" in err
+
+
 def test_measure_report_and_profile_csv(capsys, tmp_path):
     profile = tmp_path / "profile.csv"
     code, out, _ = run_cli(capsys, [
@@ -210,6 +224,24 @@ def test_meanvalue_zero_base_exits_2_before_any_phase(capsys, monkeypatch, k, n_
     ])
     assert code == 2
     assert out == "" and "n = 0" in err
+
+
+def test_meanvalue_evaluates_each_phase_once(capsys, monkeypatch):
+    """The mean value and the pair count share one phase table."""
+    calls = []
+    power_phase = expsum.power_phase
+
+    def counted_phase(k):
+        phi = power_phase(k)
+        return lambda n, u: calls.append((n, u)) or phi(n, u)
+
+    monkeypatch.setattr(expsum, "power_phase", counted_phase)
+    code, _, _ = run_cli(capsys, [
+        "meanvalue", "--k", "2", "--n-lo", "1", "--n-hi", "43",
+        "--u-lo", "1", "--u-hi", "52", "--y-max", "100",
+    ])
+    assert code == 0
+    assert len(calls) == 43 * 52
 
 
 def test_meanvalue_large_y_is_fast(capsys):

@@ -1,4 +1,5 @@
-"""Exact fractions, their enumeration and counting, and the shared resource cap."""
+"""Exact fractions, their enumeration and counting, the input checks and the shared
+resource cap."""
 
 import random
 from collections import Counter
@@ -7,13 +8,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from powfrac import (DyadicBlockQuery, EnumerationSpec, PairQuery, RangeError, ResourceError,
-                     circle_distance, count_pairs_block, count_pairs_bruteforce,
-                     count_pairs_interval, coverage_profile, dense_gram_eigenvalue,
-                     dual_quadratic_form, enumerate_tuples, euler_phi, format_rational,
-                     l1_sieve_sum, parse_rational, sharpness_study, sieve_gram_eigenvalue,
-                     tuple_count, window_count)
-from powfrac.fraccore import check_work, mobius_upto, tuple_count_upto
+from powfrac import (DyadicBlockQuery, EnumerationSpec, MeanValueSpec, PairQuery, PhaseSpec,
+                     RangeError, ResourceError, circle_distance, count_pairs_block,
+                     count_pairs_bruteforce, count_pairs_interval, coverage_profile,
+                     dense_gram_eigenvalue, dual_quadratic_form, enumerate_tuples, euler_phi,
+                     format_rational, l1_sieve_sum, parse_rational, power_phase,
+                     sharpness_study, sieve_gram_eigenvalue, tuple_count, window_count)
+from powfrac.fraccore import check_work, mobius_upto
 from powfrac.sieve import SieveProblem, sieve_matrix
 
 
@@ -113,6 +114,21 @@ def test_mobius_upto_matches_factorization():
     assert mobius_upto(500) == [0] + [mu(n) for n in range(1, 501)]
 
 
+@pytest.mark.parametrize("build", [
+    lambda: EnumerationSpec(0, 5),
+    lambda: PairQuery(2, 3, Fraction(4), metric="torus"),
+    lambda: DyadicBlockQuery(2, 1, 0, 1, 1, Fraction(4)),
+    lambda: PhaseSpec(0.5, 1.0, 10.0, 1.0),
+    lambda: MeanValueSpec(power_phase(1), (1, 2), (3, 2), 8.0),
+    lambda: SieveProblem(2, 3, 2, m_offset=-1),
+], ids=["EnumerationSpec", "PairQuery", "DyadicBlockQuery", "PhaseSpec", "MeanValueSpec",
+        "SieveProblem"])
+def test_inputs_are_checked_when_built(build):
+    """Each input type refuses one bad field in its constructor, before any consumer sees it."""
+    with pytest.raises(RangeError):
+        build()
+
+
 def test_check_work_reads_the_cap_from_the_environment(monkeypatch):
     monkeypatch.delenv("POWFRAC_MAX_POINTS", raising=False)
     assert check_work(lambda cap: 7, None, "work") == 7
@@ -127,7 +143,7 @@ def test_check_work_reads_the_cap_from_the_environment(monkeypatch):
     assert check_work(lambda cap: 8, None, "work") == 8
     # the count may stop as soon as it passes the cap it is given: 1 + 2 + 3 + 4 > 8
     with pytest.raises(ResourceError, match="at least 10 exceeds cap 8"):
-        check_work(lambda cap: tuple_count_upto(1, 10**9, False, cap), None, "work")
+        check_work(lambda cap: tuple_count(1, 10**9, False, cap), None, "work")
 
 
 _SIEVE = SieveProblem(2, 3, 2)  # 9 rows, 18 entries
