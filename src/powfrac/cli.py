@@ -14,6 +14,7 @@ and main() wraps the fields into the report and writes it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -48,6 +49,16 @@ def _output_path(text: str) -> str:
     return text
 
 
+def _int_at_least(low: int):
+    """An int option refused below low at parse time, before any work is done."""
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names it in its "invalid int value" message
+    return parse
+
+
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
@@ -75,7 +86,7 @@ def cmd_enumerate(args):
     shown = list(islice(enumerate_tuples(spec), args.limit))
     fields = {"k": args.k, "n_max": args.n_max, "coprime": args.coprime, "sorted": args.sorted,
               "count": count, "truncated": len(shown) < count,
-              "tuples": [f.to_json() for f in shown]}
+              "tuples": [{"u": f.u, "n": f.n, "k": f.k} for f in shown]}
     return fields, f"enumerate: {count} tuples (k={args.k}, n_max={args.n_max})", None
 
 
@@ -112,8 +123,8 @@ def cmd_measure(args):
     if args.profile_csv:
         with open(args.profile_csv, "w") as fh:
             fh.write("breakpoint_p,breakpoint_q,depth\n")
-            for p_num, p_den, depth in profile.csv_rows():
-                fh.write(f"{p_num},{p_den},{depth}\n")
+            for b, depth in zip(profile.breakpoints, profile.depths):
+                fh.write(f"{b.numerator},{b.denominator},{depth}\n")
     fields = {"k": args.k, "n_max": args.n_max, "y": format_rational(args.y),
               "coprime": not args.no_coprime, "threshold": args.threshold,
               "point_count": profile.point_count, "radius": format_rational(profile.radius),
@@ -190,7 +201,7 @@ def cmd_meanvalue(args):
 def _sieve_problem(args) -> tuple[sieve.SieveProblem, int, dict]:
     """The problem, its row count and its report fields; refuses past the cap first."""
     problem = sieve.SieveProblem(args.k, args.n_max, args.m_len, args.m_offset)
-    p_rows = sieve.check_cap(problem)
+    p_rows = sieve.row_count(problem)
     fields = {"k": args.k, "n_max": args.n_max, "m_len": args.m_len, "m_offset": args.m_offset}
     return problem, p_rows, fields
 
@@ -249,7 +260,7 @@ def cmd_sieve_dual(args):
 
 def cmd_bounds(args):
     report = sieve.classical_bounds(args.k, args.n, args.m)
-    fields = {"k": args.k, "n": args.n, "m": args.m, **report.to_json()}
+    fields = {"k": args.k, "n": args.n, "m": args.m, **dataclasses.asdict(report)}
     summary = (f"bounds: classical_1={report.classical_1} classical_2={report.classical_2} "
                f"conjecture={report.conjecture} cor2_rhs={report.cor2_rhs}")
     return fields, summary, [",".join(fields), ",".join(str(v) for v in fields.values())]
@@ -301,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     arg = command("enumerate", cmd_enumerate, "list tuples u/n^k", k_help, n_max=True)
     arg("--coprime", action="store_true", help="keep only gcd(u,n)=1")
     arg("--sorted", action="store_true", help="emit in increasing value order")
-    arg("--limit", type=int, default=1000, help="max tuples to print (default 1000)")
+    arg("--limit", type=_int_at_least(0), default=1000, help="max tuples to print (default 1000)")
 
     arg = command("pairs", cmd_pairs, "ordered near-pair count within 1/y", k_help, n_max=True)
     arg("--y", type=_positive_rational, required=True,
@@ -330,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     arg = command("measure", cmd_measure, "coverage profile and exceptional-set measure", k_help,
                   n_max=True)
     arg("--y", type=_positive_rational, required=True, help='arc scale "p/q" (radius 1/y)')
-    arg("--threshold", type=int, required=True, help="depth threshold T >= 1")
+    arg("--threshold", type=_int_at_least(1), required=True, help="depth threshold T >= 1")
     arg("--no-coprime", action="store_true", help="use all tuples, not only gcd(u,n)=1")
     arg("--profile-csv", type=_output_path,
         help="also write the full step function to this CSV path")

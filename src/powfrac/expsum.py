@@ -283,18 +283,18 @@ def direct_phase_sum(g: GenericPhase) -> complex:
 
 
 def _solve_df_equals(g: GenericPhase, m: int) -> float:
-    """Root of f'(x) = m on [a, b] by bisection plus Newton polish, to |f'(x) - m| <= 1e-12."""
+    """Root of f'(x) = m on [a, b] by bisection plus Newton polish, to |f'(x) - m| <= 1e-12.
+
+    m lies strictly between f'(a) and f'(b) (stationary_phase_generic passes no other), so
+    f' - m never has one sign at both ends.  Past 2^53 the float f' - m can round to 0
+    at an end, and that end is returned.
+    """
     lo, hi = g.a, g.b
     s_lo = g.df(lo) - m
-    s_hi = g.df(hi) - m
     if s_lo == 0.0:
         return lo
-    if s_hi == 0.0:
+    if g.df(hi) - m == 0.0:
         return hi
-    if (s_lo > 0) == (s_hi > 0):
-        raise RootBracketError(
-            f"f' - {m} has equal signs at both endpoints; f' is not monotone"
-        )
     x = 0.5 * (lo + hi)
     for _ in range(200):
         v = g.df(x) - m

@@ -106,9 +106,6 @@ class PowerFraction:
     def value(self) -> Fraction:
         return Fraction(self.u, self.n**self.k)
 
-    def to_json(self) -> dict:
-        return {"u": self.u, "n": self.n, "k": self.k}
-
 
 @dataclass(frozen=True)
 class EnumerationSpec:

@@ -34,7 +34,6 @@ from .fraccore import (EnumerationSpec, check_work, enumerate_tuples, reduced_de
 DEFAULT_MAX_POINTS = 2_000_000
 
 HALF = Fraction(1, 2)
-ONE = Fraction(1)
 
 
 def _check_tuples(spec: EnumerationSpec | PairQuery, what: str) -> int:
@@ -283,12 +282,7 @@ class CoverageProfile:
 
     def interval_lengths(self) -> list[Fraction]:
         bps = self.breakpoints
-        m = len(bps)
-        if m == 1:
-            return [ONE]
-        lengths = [bps[i + 1] - bps[i] for i in range(m - 1)]
-        lengths.append(bps[0] + 1 - bps[m - 1])
-        return lengths
+        return [b - a for a, b in zip(bps, bps[1:])] + [bps[0] + 1 - bps[-1]]
 
     def depth_at(self, x: Fraction) -> int:
         x = x % 1
@@ -299,16 +293,8 @@ class CoverageProfile:
         return self.depths[i] if i >= 0 else self.depths[-1]
 
     def integral(self) -> Fraction:
-        total = Fraction(0)
-        for d, length in zip(self.depths, self.interval_lengths()):
-            total += d * length
-        return total
-
-    def csv_rows(self) -> list[tuple[int, int, int]]:
-        return [
-            (b.numerator, b.denominator, d)
-            for b, d in zip(self.breakpoints, self.depths)
-        ]
+        return sum((d * length for d, length in zip(self.depths, self.interval_lengths())),
+                   Fraction(0))
 
 
 def coverage_profile(k: int, n_max: int, y: Fraction, coprime: bool = True) -> CoverageProfile:
@@ -374,11 +360,8 @@ def exceptional_measure(profile: CoverageProfile, t_threshold: int) -> Fraction:
     """
     if t_threshold < 1:
         raise RangeError(f"threshold must be >= 1, got {t_threshold}")
-    total = Fraction(0)
-    for d, length in zip(profile.depths, profile.interval_lengths()):
-        if d >= t_threshold:
-            total += length
-    return total
+    return sum((length for d, length in zip(profile.depths, profile.interval_lengths())
+                if d >= t_threshold), Fraction(0))
 
 
 def sharpness_study(k: int, n_values: Iterable[int], coprime: bool = False) -> list[dict]:

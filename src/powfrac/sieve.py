@@ -12,9 +12,9 @@ the side.  It serves two kernels: for P < m_len the Dirichlet kernel
 sin(pi*M*theta)/sin(pi*theta) at the row differences theta, under x -> 1 - x;
 otherwise the Toeplitz Gram matrix, whose column is a sum over
 fraccore.reduced_denominators, under i -> m_len-1 - i.  Each call counts the
-rows once, in its cap check.  Phases are reduced in exact integers before
-any float enters, (a*m) mod n^k for B and M*theta mod 2 for the kernel, so
-large window offsets lose no accuracy.
+rows once, in row_count, which also applies the cap.  Phases are reduced in
+exact integers before any float enters, (a*m) mod n^k for B and M*theta mod 2
+for the kernel, so large window offsets lose no accuracy.
 """
 
 from __future__ import annotations
@@ -63,10 +63,6 @@ def sieve_rows(p: SieveProblem) -> list[tuple[int, int]]:
 
 
 def row_count(p: SieveProblem) -> int:
-    return tuple_count(p.k, p.n_max, coprime=True)
-
-
-def check_cap(p: SieveProblem) -> int:
     """Refuse (ResourceError) a P x m_len matrix past the cap, counting rows per
     modulus only until they pass it: rows * m_len > cap exactly when rows > cap // m_len.
     Returns the row count P, exact whenever it does not raise."""
@@ -81,7 +77,7 @@ def sieve_matrix(p: SieveProblem) -> np.ndarray:
     int), so a*m stays below n^(2k) and the int64 product is exact while
     n^k < 2^31; larger moduli are refused.
     """
-    rows = check_cap(p)
+    rows = row_count(p)
     if p.n_max**p.k >= _MAX_INT64_MODULUS:
         raise ResourceError(f"modulus {p.n_max}^{p.k} is past the exact int64 range")
     window = np.arange(1, p.m_len + 1, dtype=np.int64)
@@ -180,7 +176,7 @@ def sieve_gram_eigenvalue(p: SieveProblem) -> float:
     m_len is its own image, with sign +1: blocks of side at most ceil(m_len / 2).
     """
     m = p.m_len
-    if check_cap(p) < m:
+    if row_count(p) < m:
         if 4 * p.n_max ** (4 * p.k) >= _MAX_INT64_PRODUCT:
             raise ResourceError(f"phase denominators up to {p.n_max}^{2 * p.k} are past "
                                 f"the exact int64 range")
@@ -240,14 +236,6 @@ class BoundReport:
     classical_2: int
     conjecture: int
     cor2_rhs: int | float
-
-    def to_json(self) -> dict:
-        return {
-            "classical_1": self.classical_1,
-            "classical_2": self.classical_2,
-            "conjecture": self.conjecture,
-            "cor2_rhs": self.cor2_rhs,
-        }
 
 
 def classical_bounds(k: int, n_max: int, m_len: int) -> BoundReport:

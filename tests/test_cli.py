@@ -3,6 +3,8 @@
 import ast
 import importlib.util
 import json
+import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -123,6 +125,17 @@ def test_bad_exponent_or_base_range_exits_2_before_counting(capsys, monkeypatch,
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == "" and "must be >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["measure", "--k", "2", "--n-max", "40", "--y", "64000/1", "--threshold", "0"],
+    ["enumerate", "--k", "1", "--n-max", "300000", "--coprime", "--limit", "-1"],
+])
+def test_bad_threshold_or_limit_exits_2_before_counting(capsys, monkeypatch, argv):
+    monkeypatch.setattr(fraccore, "_base_counts", lambda *a: pytest.fail("counted tuples"))
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == "" and "must be >= " in err
 
 
 def test_measure_report_and_profile_csv(capsys, tmp_path):
@@ -523,3 +536,23 @@ def test_public_names_are_exported():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     public = {name for name in imported if not name.startswith("_")}
     assert set(powfrac.__all__) - {"__version__"} == public
+
+
+def test_every_test_import_is_declared():
+    """Every third-party module the tests import is a declared dependency or in the
+    `test` extra, so `pip install -e '.[test]'` is enough to run them."""
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).parents[1]
+    project = tomllib.loads((root / "pyproject.toml").read_text())["project"]
+    extras = project.get("optional-dependencies", {}).get("test", [])
+    declared = {re.match(r"[\w.-]+", req).group().lower().replace("-", "_")
+                for req in project["dependencies"] + extras}
+    imported = set()
+    for path in Path(__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"powfrac"}
+    assert third_party - declared == set()

@@ -15,7 +15,7 @@ from powfrac import (DyadicBlockQuery, EnumerationSpec, MeanValueSpec, PairQuery
                      format_rational, l1_sieve_sum, parse_rational, power_phase,
                      sharpness_study, sieve_gram_eigenvalue, tuple_count, window_count)
 from powfrac.fraccore import check_work, mobius_upto
-from powfrac.sieve import SieveProblem, sieve_matrix
+from powfrac.sieve import SieveProblem, row_count, sieve_matrix
 
 
 def test_enumeration_counts_match_closed_form():
@@ -156,6 +156,7 @@ CAPPED = {
     "window": lambda: window_count(2, 3, Fraction(1, 3), Fraction(4)),
     "coverage": lambda: coverage_profile(2, 3, Fraction(4)),
     "sharpness": lambda: sharpness_study(2, [3]),
+    "rows": lambda: row_count(_SIEVE),
     "sieve_matrix": lambda: sieve_matrix(_SIEVE),
     "delta_toeplitz": lambda: sieve_gram_eigenvalue(_SIEVE),
     "delta_dense": lambda: dense_gram_eigenvalue(_SIEVE),

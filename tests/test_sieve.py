@@ -400,13 +400,6 @@ def test_classical_bounds_perfect_square_exact():
     assert isinstance(rep.cor2_rhs, int)
 
 
-def test_bound_report_json_round_trip():
-    rep = classical_bounds(k=2, n_max=3, m_len=7)
-    d = rep.to_json()
-    assert set(d) == {"classical_1", "classical_2", "conjecture", "cor2_rhs"}
-    assert d["classical_1"] == rep.classical_1
-
-
 def test_delta_dominated_by_classical_bounds():
     # The computed eigenvalue never exceeds the coarse classical bounds
     # (with slack 2 for the non-asymptotic small ranges used here).
