@@ -105,14 +105,15 @@ def _interior_integers(lo: float, hi: float, what: str) -> range:
     return ns
 
 
-def _finite(fn: Callable[[float], float], x: float, what: str) -> float:
-    """fn(x), refused with RangeError when it overflows the float range."""
+def _finite(what: str, fn: Callable[..., float], *args: float) -> float:
+    """fn(*args), refused with RangeError when it overflows the float range or divides by 0."""
     try:
-        value = fn(x)
-    except OverflowError:
+        value = fn(*args)
+    except (OverflowError, ZeroDivisionError):
         value = math.inf
     if not math.isfinite(value):
-        raise RangeError(f"{what}({x:.17g}) = {value} is past the float range")
+        at = ", ".join(f"{x:.17g}" for x in args)
+        raise RangeError(f"{what}({at}) = {value} is past the float range")
     return value
 
 
@@ -168,7 +169,7 @@ def _monomial_range(p: PhaseSpec) -> range:
     it is infinite whenever the largest, f(n_scale) = y/alpha, is."""
     far = p.eta * p.n_scale
     ns = _interior_integers(p.n_scale, far, "direct sum")
-    _finite(p.f, far, "f")
+    _finite("f", p.f, far)
     return ns
 
 
@@ -245,26 +246,6 @@ class GenericPhase:
     a: float
     b: float
 
-    def validate(self) -> None:
-        """Check supplied derivatives against central differences of f.
-
-        Raises ValueError when a derivative sampled at 9 interior points
-        disagrees beyond a relative 1e-6 (with a small absolute floor).
-        """
-        if not self.b > self.a:
-            raise RangeError(f"need b > a, got [{self.a}, {self.b}]")
-        for i in range(1, 10):
-            x = self.a + (self.b - self.a) * i / 10
-            h = 6e-6 * max(1.0, abs(x))
-            for base, deriv in ((self.f, self.df), (self.df, self.d2f)):
-                fd = (base(x + h) - base(x - h)) / (2 * h)
-                claimed = deriv(x)
-                scale = max(abs(claimed), abs(fd), 1e-9)
-                if abs(fd - claimed) > 1e-6 * scale:
-                    raise ValueError(
-                        f"derivative mismatch at x={x}: finite difference {fd}, claimed {claimed}"
-                    )
-
 
 def monomial_phase(p: PhaseSpec) -> GenericPhase:
     """The monomial phase as a GenericPhase on [n_scale, eta*n_scale]."""
@@ -286,15 +267,10 @@ def _solve_df_equals(g: GenericPhase, m: int) -> float:
     """Root of f'(x) = m on [a, b] by bisection plus Newton polish, to |f'(x) - m| <= 1e-12.
 
     m lies strictly between f'(a) and f'(b) (stationary_phase_generic passes no other), so
-    f' - m never has one sign at both ends.  Past 2^53 the float f' - m can round to 0
-    at an end, and that end is returned.
+    f' - m never has one sign at both ends.
     """
     lo, hi = g.a, g.b
     s_lo = g.df(lo) - m
-    if s_lo == 0.0:
-        return lo
-    if g.df(hi) - m == 0.0:
-        return hi
     x = 0.5 * (lo + hi)
     for _ in range(200):
         v = g.df(x) - m
@@ -324,10 +300,13 @@ def stationary_phase_generic(g: GenericPhase) -> tuple[complex, float]:
     |f''(x_m)|**(-1/2) * e(f(x_m) - m*x_m + sigma/8) with sigma the sign
     of f''.  Returns (value, budget) with budget
     1/sqrt(min |f''|) + log(|f'(b) - f'(a)| + 2), f' and f'' sampled at 33
-    equally spaced points of [a, b].
+    equally spaced points of [a, b].  |f'| >= 2^53 at an end is refused with
+    RangeError: there a float f' - m can round to 0 away from the root.
     """
     fa = g.df(g.a)
     fb = g.df(g.b)
+    if max(abs(fa), abs(fb)) >= 2.0**53:
+        raise RangeError(f"f'({g.a}) = {fa:.17g} or f'({g.b}) = {fb:.17g} reaches 2^53")
     lo_val, hi_val = min(fa, fb), max(fa, fb)
     xs = [g.a + (g.b - g.a) * i / 32 for i in range(33)]
     increasing = fb >= fa
@@ -378,14 +357,14 @@ def kusmin_landau_check(g: GenericPhase, lam: float) -> KusminReport:
     ns = _interior_integers(math.ceil(g.a) - 1, math.floor(g.b) + 1, "Kusmin-Landau sum")
     step = max(1, len(ns) // 2000)
     for n in ns[::step]:
-        d = _finite(g.df, n, "f'")
+        d = _finite("f'", g.df, n)
         dist = abs(d - round(d))
         if dist < lam - 1e-12:
             raise RangeError(f"sampled ||f'({n})|| = {dist} < lam = {lam}")
     if ns:
         # f' is monotone and below 2^53 where sampled, so f is finite inside if at both ends
-        _finite(g.f, ns[0], "f")
-        _finite(g.f, ns[-1], "f")
+        _finite("f", g.f, ns[0])
+        _finite("f", g.f, ns[-1])
     magnitude = abs(_phase_sum(ns, lambda chunk: _values(g.f, chunk)))
     bound = 1.0 / math.tan(math.pi * lam / 2)
     return KusminReport(magnitude=magnitude, bound=bound, passed=magnitude <= bound + 1e-9)
@@ -417,12 +396,15 @@ class MeanValueSpec:
 
     @cached_property
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(phi, theta) at each (n, u), n-major; evaluated once per spec."""
+        """(phi, theta) at each (n, u), n-major; evaluated once per spec.
+
+        A phase past the float range, or one that divides by 0, is refused with RangeError.
+        """
         phis = []
         thetas = []
         for n in range(self.i1[0], self.i1[1] + 1):
             for u in range(self.i2[0], self.i2[1] + 1):
-                phis.append(self.phi(n, u))
+                phis.append(_finite("phi", self.phi, n, u))
                 t = 1.0 if self.theta is None else complex(self.theta(n, u))
                 if abs(t) > 1 + 1e-12:
                     raise RangeError(f"|theta({n},{u})| = {abs(t)} exceeds 1")
@@ -436,13 +418,19 @@ def mean_value_integral(s: MeanValueSpec) -> float:
     Each cross term integrates to 2 * sinc(2 * y_max * (phi_i - phi_j)), the
     kernel of Gallagher's lemma, so the mean is a Hermitian form in theta.
     The P x P kernel is refused with ResourceError when P^2 exceeds
-    MAX_KERNEL_ENTRIES, before any phase is evaluated.
+    MAX_KERNEL_ENTRIES, before any phase is evaluated, and with RangeError
+    when pi * 2 * y_max * (phi_i - phi_j), where sinc takes its sine, is past
+    the float range.  Doubling is exact, so y_max * (2 * d) equals 2 * y_max * d
+    wherever that is finite.
     """
     p = (s.i1[1] - s.i1[0] + 1) * (s.i2[1] - s.i2[0] + 1)
     if p * p > MAX_KERNEL_ENTRIES:
         raise ResourceError(f"mean value kernel of {p}^2 entries exceeds cap {MAX_KERNEL_ENTRIES}")
     phis, thetas = s.tables
-    kernel = 2 * np.sinc(2 * s.y_max * (phis[:, None] - phis[None, :]))
+    spread = float(phis.max()) - float(phis.min())
+    if not math.isfinite(math.pi * (s.y_max * (2 * spread))):
+        raise RangeError(f"sinc argument 2 * {s.y_max:.17g} * {spread:.17g} is past the float range")
+    kernel = 2 * np.sinc(s.y_max * (2 * (phis[:, None] - phis[None, :])))
     return float((thetas @ kernel @ thetas.conj()).real)
 
 

@@ -13,8 +13,7 @@ for the complete residue system v = 1..c, so a near-pair count costs one
 gcd per pair of entries and a window count one floor difference per
 entry; neither lists the fractions.  Block counts range over dyadic
 boxes, which are not complete residue systems: one lattice strip per pair
-of bases (floor sums in O(log) steps), or a sorted sweep over the tuples
-where the pairs of bases outnumber them by more than STRIPS_PER_TUPLE.
+of bases, floor sums in O(log) steps.
 """
 
 from __future__ import annotations
@@ -30,7 +29,8 @@ from .errors import RangeError
 from .fraccore import (EnumerationSpec, check_work, enumerate_tuples, reduced_denominators,
                        tuple_count)
 
-# Cap on the tuples a count predicts, unless POWFRAC_MAX_POINTS sets another.
+# Cap on the work a count predicts, unless POWFRAC_MAX_POINTS sets another: the
+# tuples a count enumerates or tabulates, or for a block count its strips.
 DEFAULT_MAX_POINTS = 2_000_000
 
 HALF = Fraction(1, 2)
@@ -229,39 +229,21 @@ class DyadicBlockQuery:
             raise RangeError(f"threshold scale y must be positive, got {self.y}")
 
 
-# A sorted sweep spends about four strips' time on each tuple it lists
-# (20-35 us per tuple against 6-10 us per strip for k = 1 to 4), so the block
-# count runs its strips while they number at most four per tuple.
-STRIPS_PER_TUPLE = 4
-
-
-def _block_values(u_start: int, n_start: int, k: int, extra: int) -> list[Fraction]:
-    return sorted(Fraction(u, n**k)
-                  for n in range(n_start, 2 * n_start + extra)
-                  for u in range(u_start, 2 * u_start + extra))
-
-
 def count_pairs_block(q: DyadicBlockQuery, closed: bool = False) -> int:
-    """Exact block count over u_i in [U_i, 2U_i), n_i in [N_i, 2N_i).
+    """Exact block count over u_i in [U_i, 2U_i), n_i in [N_i, 2N_i), one strip per pair of bases.
 
     closed=True switches both ranges to the closed convention
     [U_i, 2U_i] x [N_i, 2N_i]; the half-open form is the default.  Each
-    pair of bases is one strip over the two u ranges; with few u per base
-    the pairs of bases outnumber the tuples, and a sorted sweep over the
-    tuples of both sides serves.
+    strip counts the pairs of u ranges for one pair of bases, so the count is
+    capped in strips, (#bases1)*(#bases2), whatever the number of u.
     """
     extra = 1 if closed else 0
-    side1 = (q.u1 + extra) * (q.n1 + extra)
-    side2 = (q.u2 + extra) * (q.n2 + extra)
-    check_work(lambda cap: side1 + side2, DEFAULT_MAX_POINTS, "count_pairs_block tuples")
-    if (q.n1 + extra) * (q.n2 + extra) > STRIPS_PER_TUPLE * (side1 + side2):
-        t = 1 / q.y
-        return _pairs_within(_block_values(q.u1, q.n1, q.k, extra),
-                             _block_values(q.u2, q.n2, q.k, extra), -t, t)
+    bases1, bases2 = range(q.n1, 2 * q.n1 + extra), range(q.n2, 2 * q.n2 + extra)
+    check_work(lambda cap: len(bases1) * len(bases2), DEFAULT_MAX_POINTS,
+               "count_pairs_block strips")
     yp, yq = q.y.numerator, q.y.denominator
     return sum(_near(n1**q.k, n2**q.k, q.u1, 2 * q.u1 - 1 + extra, q.u2, 2 * q.u2 - 1 + extra, yp, yq)
-               for n1 in range(q.n1, 2 * q.n1 + extra)
-               for n2 in range(q.n2, 2 * q.n2 + extra))
+               for n1 in bases1 for n2 in bases2)
 
 
 @dataclass(frozen=True)

@@ -188,6 +188,15 @@ def test_kusmin_violated_hypothesis_exits_2(capsys):
      "float range"),
     (["kusmin", "--coef", "1e300", "--power", "3", "--a", "1e5", "--b", "1e5", "--lam", "0.1"],
      "float range"),
+    # 2 * y_max * (3 - 1/3) overflows the sinc argument
+    (["meanvalue", "--k", "1", "--n-lo", "1", "--n-hi", "3", "--u-lo", "1", "--u-hi", "3",
+      "--y-max", "1e308"], "float range"),
+    # 2 / 3^-646 overflows to inf
+    (["meanvalue", "--k", "-646", "--n-lo", "3", "--n-hi", "3", "--u-lo", "1", "--u-hi", "3",
+      "--y-max", "2"], "float range"),
+    # 2^-1100 underflows to 0.0, so u / n^k divides by 0
+    (["meanvalue", "--k", "-1100", "--n-lo", "2", "--n-hi", "3", "--u-lo", "1", "--u-hi", "3",
+      "--y-max", "2"], "float range"),
 ])
 def test_non_finite_or_complex_phase_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)

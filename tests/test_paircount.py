@@ -290,32 +290,13 @@ def block_queries(draw):
 
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(block_queries())
-def test_block_sweep_matches_cross_multiplication(case):
+def test_block_strips_match_cross_multiplication(case):
     q, closed = case
     yp, yq = q.y.numerator, q.y.denominator
     expected = sum(1 for u1, d1 in _block_side(q.u1, q.n1, q.k, closed)
                    for u2, d2 in _block_side(q.u2, q.n2, q.k, closed)
                    if abs(u1 * d2 - u2 * d1) * yp <= yq * d1 * d2)
     assert count_pairs_block(q, closed=closed) == expected
-
-
-# STRIPS_PER_TUPLE = 0 sends every block query to the sorted sweep, a huge
-# value to the lattice count, so each path meets the oracle on every drawn query.
-_SWEEP, _LATTICE = 0, 10**9
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(block_queries())
-def test_block_both_paths_match_cross_multiplication(case):
-    q, closed = case
-    yp, yq = q.y.numerator, q.y.denominator
-    expected = sum(1 for u1, d1 in _block_side(q.u1, q.n1, q.k, closed)
-                   for u2, d2 in _block_side(q.u2, q.n2, q.k, closed)
-                   if abs(u1 * d2 - u2 * d1) * yp <= yq * d1 * d2)
-    for strips in (_SWEEP, _LATTICE):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(paircount, "STRIPS_PER_TUPLE", strips)
-            assert count_pairs_block(q, closed=closed) == expected, strips
 
 
 def _enumerated_window(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool) -> int:
@@ -390,7 +371,6 @@ def test_lattice_counts_never_enumerate(monkeypatch):
                   PairQuery(2, 6, Fraction(216), True, "circle")]
     expected = [count_pairs_bruteforce(q) for q in few_tuples]
     monkeypatch.setattr(paircount, "enumerate_tuples", refuse)
-    monkeypatch.setattr(paircount, "_block_values", refuse)
     assert count_pairs_block(DyadicBlockQuery(2, 100, 8, 120, 9, Fraction(10**5))) > 0
     # near-pair and window counts are closed forms over complete residue
     # systems: no lattice strip either
@@ -404,17 +384,18 @@ def test_lattice_counts_never_enumerate(monkeypatch):
     assert len(sharpness_study(2, [10, 20, 30])) == 3
 
 
-def test_sweep_serves_where_strips_outnumber_tuples(monkeypatch):
-    """Blocks with one u per base have many more pairs of bases than tuples;
-    the sorted sweep counts them, so the work stays within the capped tuple
-    count."""
+def test_block_cap_counts_strips(monkeypatch):
+    """Block counts are capped in strips, one per pair of bases, not in tuples."""
+    monkeypatch.delenv("POWFRAC_MAX_POINTS", raising=False)
+    # 2 * 10^8 tuples but 2500 strips; every value u/n^2 lies in [100, 800),
+    # so every pair is within 1/y = 1000
+    q = DyadicBlockQuery(2, 10**6, 50, 10**6, 50, Fraction(1, 1000))
+    assert count_pairs_block(q) == (10**6 * 50)**2
+
     def refuse(*args):
-        raise AssertionError("ran the lattice count")
+        raise AssertionError("ran a strip")
 
     monkeypatch.setattr(paircount, "_near", refuse)
-    # 10^4 tuples 1/n a side, 10^8 pairs of bases: the strips would never
-    # finish.  Neighbours 1/n, 1/(n+1) are within 1/y once n(n+1) >= y, that
-    # is for n >= 15000; values two apart never are, as 2/(n(n+2)) > 1/y.
-    y = Fraction(15000 * 15001)
-    q = DyadicBlockQuery(1, 1, 10**4, 1, 10**4, y)
-    assert count_pairs_block(q) == 10**4 + 2 * (2 * 10**4 - 1 - 15000)
+    # 10^4 tuples a side, but 10^8 pairs of bases, past the default cap
+    with pytest.raises(ResourceError, match="strips"):
+        count_pairs_block(DyadicBlockQuery(1, 1, 10**4, 1, 10**4, Fraction(15000 * 15001)))
