@@ -174,10 +174,13 @@ def cmd_kusmin(args):
                              f"[{args.a}, {args.b}]")
         if args.a <= 0 <= args.b and power < 1:
             raise RangeError(f"f'(n) = coef*{power}*n^{power - 1} is undefined at n = 0")
+    # f_array is f with libm's pow on each float(n): int ** float and math.pow both end
+    # in it here, and CPython negates pow(|x|, power) as libm does for a negative base.
     phase = expsum.GenericPhase(f=lambda x: coef * x**power,
                                 df=lambda x: coef * power * x ** (power - 1),
                                 d2f=lambda x: coef * power * (power - 1) * x ** (power - 2),
-                                a=args.a, b=args.b)
+                                a=args.a, b=args.b,
+                                f_array=lambda ns: coef * expsum._pow(expsum._floats(ns), power))
     report = expsum.kusmin_landau_check(phase, args.lam)
     fields = {"coef": coef, "power": power, "a": args.a, "b": args.b, "lam": args.lam,
               "magnitude": report.magnitude, "bound": report.bound, "passed": report.passed}

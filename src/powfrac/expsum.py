@@ -12,11 +12,15 @@ for a root per term, keeps its own loop).  The kernel takes the phases
 of at most SUM_CHUNK consecutive integers at a time as a numpy array and
 adds the chunk's terms in order with np.cumsum, so each sum is
 bit-identical to adding e(f(n)) term by term in a Python loop, with
-memory bounded by the chunk.  Powers stay on libm's pow, one call per
-term: numpy's float64 power differs from it in the last bit on a few
-percent of inputs, which would move reported sums.  The number of terms
-is known from the endpoints before any phase is evaluated, and a sum of
-more than MAX_SUM_TERMS terms is refused with ResourceError.
+memory bounded by the chunk.  Everything else on that path is numpy and
+exact: the mod-1 reduction takes np.modf's fractional part, which equals
+fmod(x, 1) bit for bit (see _frac), and n and n / scale come from
+np.arange while |n| < 2^53.  libm's pow is the one call per term left in
+Python: numpy's float64 power differs from it in the last bit on a few
+percent of inputs, which would move reported sums.  A GenericPhase
+without an array form of f also calls f once per term.  The number of
+terms is known from the endpoints before any phase is evaluated, and a
+sum of more than MAX_SUM_TERMS terms is refused with ResourceError.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
-from operator import truediv
 from pathlib import Path
 from typing import Callable, ClassVar, Optional
 
@@ -39,9 +42,10 @@ from .paircount import _pairs_within
 # Largest P^2 (entries of the phase-difference kernel) mean_value_integral builds.
 MAX_KERNEL_ENTRIES = 5_000_000
 
-# Most terms one direct or dual sum evaluates: about 5 s of work at the
-# 0.5 us per term measured on a 2-core x86 machine.  The benchmark's
-# largest sums have about 3*10^5 terms.
+# Most terms one direct or dual sum evaluates: about 1.5 s of work at the
+# 0.12-0.2 us per term of a monomial or array-form direct sum (0.2-0.35 us
+# for the dual sum, with two pows per term), best of 5 over 10^6 terms on a
+# 2-core x86 machine.  The benchmark's largest sums have about 3*10^5 terms.
 MAX_SUM_TERMS = 10_000_000
 
 # Terms per numpy step of _phase_sum: its arrays stay under a megabyte.
@@ -58,21 +62,36 @@ def _phase_sum(ns: range, phases: Callable[[range], np.ndarray],
     """Sum of w(n) * e(f(n)) over ns in order, w = 1 when weights is None.
 
     phases (and weights) map a chunk of at most SUM_CHUNK consecutive
-    integers of ns to the float64 array of f(n) (and of w(n)).  The running
-    total goes into slot 0 of the chunk's terms and np.cumsum adds left to
-    right, so the result is bit-identical to `total += w(n) * e_of(f(n))`
-    term by term; np.sum would add pairwise and change the last bits.
+    integers of ns to the float64 array of f(n) (and of w(n)).  The phases
+    are reduced mod 1 by _frac, np.fmod(x, 1.0) bit for bit at the cost of
+    np.modf.  The running total goes into slot 0 of the chunk's terms and
+    np.cumsum adds left to right, so the result is bit-identical to
+    `total += w(n) * e_of(f(n))` term by term; np.sum would add pairwise
+    and change the last bits.
     """
     total = 0j
     for start in range(0, len(ns), SUM_CHUNK):
         chunk = ns[start:start + SUM_CHUNK]
         terms = np.empty(len(chunk) + 1, dtype=complex)
         terms[0] = total
-        terms[1:] = np.exp(2j * math.pi * np.fmod(phases(chunk), 1.0))
+        terms[1:] = np.exp(2j * math.pi * _frac(phases(chunk)))
         if weights is not None:
             terms[1:] *= weights(chunk)
         total = complex(np.cumsum(terms)[-1])
     return total
+
+
+def _frac(x: np.ndarray) -> np.ndarray:
+    """np.fmod(x, 1.0), bit for bit on every float64, at the cost of np.modf.
+
+    For finite x both are x - trunc(x), exact, with the sign of x (so -3.0 gives
+    -0.0).  They differ only at +-inf, where fmod gives NaN and modf gives 0;
+    x - x is +0 for finite x and NaN at +-inf (or NaN), and subtracting +0
+    changes no float, -0 included.
+    """
+    frac, whole = np.modf(x)
+    np.subtract(x, x, out=whole)
+    return np.subtract(frac, whole, out=frac)
 
 
 def _values(f: Callable[[float], float], ns: range) -> np.ndarray:
@@ -80,9 +99,19 @@ def _values(f: Callable[[float], float], ns: range) -> np.ndarray:
     return np.fromiter(map(f, ns), dtype=float, count=len(ns))
 
 
+def _floats(ns: range) -> np.ndarray:
+    """float(n) for each n of the consecutive integers ns, as a float64 array.
+
+    np.arange is exact while |n| < 2^53; past that each n is rounded by float().
+    """
+    if ns and max(abs(ns[0]), abs(ns[-1])) < 2**53:
+        return np.arange(ns.start, ns.stop, dtype=float)
+    return _values(float, ns)
+
+
 def _ratios(ns: range, scale: float) -> np.ndarray:
-    """n / scale with Python's int-by-float division (exact for every int)."""
-    return np.fromiter(map(truediv, ns, repeat(scale)), dtype=float, count=len(ns))
+    """n / scale as Python's int-by-float division computes it: float(n) / scale."""
+    return _floats(ns) / scale
 
 
 def _pow(x: np.ndarray, a: float) -> np.ndarray:
@@ -174,13 +203,10 @@ def _monomial_range(p: PhaseSpec) -> range:
 
 
 def direct_monomial_sum(p: PhaseSpec) -> complex:
-    """Sum of e(f(n)) over integers strictly inside (n_scale, eta*n_scale).
-
-    Each chunk's phases are p.f in array form, (y/alpha) * pow(n/n_scale, alpha).
-    """
-    ns = _monomial_range(p)
-    scale = p.y / p.alpha
-    return _phase_sum(ns, lambda chunk: scale * _pow(_ratios(chunk, p.n_scale), p.alpha))
+    """Sum of e(f(n)) over integers strictly inside (n_scale, eta*n_scale), through
+    direct_phase_sum and the array form of monomial_phase."""
+    _monomial_range(p)
+    return direct_phase_sum(monomial_phase(p))
 
 
 def monomial_term_count(p: PhaseSpec) -> int:
@@ -232,35 +258,49 @@ def vdc_transform_sum(p: PhaseSpec) -> tuple[complex, float]:
     scale = p.y / beta
     total = _phase_sum(dual,
                        lambda ms: offset - scale * _pow(_ratios(ms, m_scale), beta),
-                       lambda ms: _pow(_ratios(ms, m_scale), beta / 2) / _values(float, ms))
+                       lambda ms: _pow(_ratios(ms, m_scale), beta / 2) / _floats(ms))
     return amp * total, budget
 
 
 @dataclass
 class GenericPhase:
-    """Phase on [a, b] given by callables for f, f' and f''."""
+    """Phase on [a, b] given by callables for f, f' and f''.
+
+    f_array, when given, is f in array form: it maps a range of consecutive
+    integers to the float64 array of f(n), bit-identical to calling f on each.
+    """
 
     f: Callable[[float], float]
     df: Callable[[float], float]
     d2f: Callable[[float], float]
     a: float
     b: float
+    f_array: Optional[Callable[[range], np.ndarray]] = None
+
+    def phases(self, ns: range) -> np.ndarray:
+        """f(n) for each n in ns, by f_array when given, else one call of f per term."""
+        return self.f_array(ns) if self.f_array is not None else _values(self.f, ns)
 
 
 def monomial_phase(p: PhaseSpec) -> GenericPhase:
-    """The monomial phase as a GenericPhase on [n_scale, eta*n_scale]."""
+    """The monomial phase as a GenericPhase on [n_scale, eta*n_scale].
+
+    Its array form is (y/alpha) * pow(n/n_scale, alpha), one libm pow per term.
+    """
+    scale = p.y / p.alpha
     return GenericPhase(
         f=p.f,
         df=p.df,
         d2f=p.d2f,
         a=p.n_scale,
         b=p.eta * p.n_scale,
+        f_array=lambda ns: scale * _pow(_ratios(ns, p.n_scale), p.alpha),
     )
 
 
 def direct_phase_sum(g: GenericPhase) -> complex:
-    """Sum of e(f(n)) over integers strictly inside (a, b), calling g.f once per term."""
-    return _phase_sum(_interior_integers(g.a, g.b, "direct sum"), lambda ns: _values(g.f, ns))
+    """Sum of e(f(n)) over integers strictly inside (a, b)."""
+    return _phase_sum(_interior_integers(g.a, g.b, "direct sum"), g.phases)
 
 
 def _solve_df_equals(g: GenericPhase, m: int) -> float:
@@ -365,7 +405,7 @@ def kusmin_landau_check(g: GenericPhase, lam: float) -> KusminReport:
         # f' is monotone and below 2^53 where sampled, so f is finite inside if at both ends
         _finite("f", g.f, ns[0])
         _finite("f", g.f, ns[-1])
-    magnitude = abs(_phase_sum(ns, lambda chunk: _values(g.f, chunk)))
+    magnitude = abs(_phase_sum(ns, g.phases))
     bound = 1.0 / math.tan(math.pi * lam / 2)
     return KusminReport(magnitude=magnitude, bound=bound, passed=magnitude <= bound + 1e-9)
 

@@ -1,8 +1,10 @@
 """End-to-end tests of the command line interface, run in process."""
 
 import ast
+import cmath
 import importlib.util
 import json
+import math
 import re
 import sys
 import time
@@ -162,6 +164,27 @@ def test_kusmin_report(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["magnitude"] <= payload["bound"]
+
+
+@pytest.mark.parametrize("coef, power, a, b, lam", [
+    (0.3, None, 1.0, 3000.0, 0.3),
+    (0.8, 0.5, 4.0, 2000.0, 0.008),  # f' falls from 0.2 to 0.0089
+    (1e-4, 2.0, 1000.0, 3000.0, 0.2),  # f' rises from 0.2 to 0.6
+    (-1.9e7, -1.5, 1000.0, 3000.0, 0.05),  # f' falls from 0.901 to 0.058
+    (1e-9, 3.0, -5000.0, -1000.0, 0.002),  # f' falls from 0.075 to 0.003
+    (0.3, None, 2.0**53 - 50, 2.0**53 + 50, 0.3),  # float(n) rounds past 2^53
+])
+def test_kusmin_array_form_equals_the_per_term_loop(capsys, coef, power, a, b, lam):
+    argv = ["kusmin", "--coef", repr(coef), "--a", repr(a), "--b", repr(b), "--lam", repr(lam)]
+    if power is not None:
+        argv += ["--power", repr(power)]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    p = 1.0 if power is None else power
+    total = 0j
+    for n in range(math.ceil(a), math.floor(b) + 1):
+        total += cmath.exp(2j * math.pi * math.fmod(coef * n**p, 1.0))
+    assert json.loads(out)["magnitude"] == abs(total)
 
 
 def test_kusmin_violated_hypothesis_exits_2(capsys):

@@ -175,13 +175,48 @@ def test_generic_sums_equal_the_per_term_loop(case):
 def test_direct_sum_memory_is_bounded_by_the_chunk():
     p = PhaseSpec(1.5, 5e5, 3e5, 2.0)  # about 3*10^5 terms
     assert monomial_term_count(p) > 299_000
-    tracemalloc.start()
-    try:
-        direct_monomial_sum(p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * 2**20
+    # f' rises from 0.3 to 0.3 * sqrt(2) on about 2.6*10^5 integers, summed by the array form
+    kusmin = monomial_phase(PhaseSpec(1.5, 0.3 * 2.6e5, 2.6e5, 2.0))
+    for run in (lambda: direct_monomial_sum(p), lambda: kusmin_landau_check(kusmin, 0.3)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+
+_special_floats = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
+                                   -5e-324, 2.0**-1022 * 0.75, 2.0**52, 2.0**52 + 1, 2.0**53,
+                                   -(2.0**52) - 0.5, 1.7976931348623157e308])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(), _special_floats,
+                          st.integers(-2**60, 2**60).map(float),
+                          st.floats(2.0**52, 2.0**70), st.floats(-(2.0**70), -(2.0**52)),
+                          st.floats(-1e7, 1e7)), min_size=1, max_size=40))
+def test_mod_1_reduction_is_fmod_bit_for_bit(xs):
+    x = np.array(xs, dtype=float)
+    with np.errstate(invalid="ignore"):  # both raise invalid at +-inf
+        expected = np.fmod(x, 1.0)
+        got = expsum._frac(x)
+    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+def _bits(values) -> list[int]:
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from([0, 2**53, -(2**53), 2**60]), st.integers(-70, 70),
+       st.integers(0, 70), st.floats(1e-3, 1e6), st.booleans())
+def test_integer_arrays_equal_float_and_division(center, offset, length, scale, negative):
+    ns = range(center + offset, center + offset + length)
+    scale = -scale if negative else scale
+    assert _bits(expsum._floats(ns)) == _bits([float(n) for n in ns])
+    assert _bits(expsum._ratios(ns, scale)) == _bits([n / scale for n in ns])
 
 
 def test_transform_rejects_positive_integer_alpha():
