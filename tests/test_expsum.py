@@ -187,6 +187,10 @@ def test_direct_sum_memory_is_bounded_by_the_chunk():
         assert peak < 2 * 2**20
 
 
+def _bits(values) -> list[int]:
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
 _special_floats = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
                                    -5e-324, 2.0**-1022 * 0.75, 2.0**52, 2.0**52 + 1, 2.0**53,
                                    -(2.0**52) - 0.5, 1.7976931348623157e308])
@@ -202,11 +206,7 @@ def test_mod_1_reduction_is_fmod_bit_for_bit(xs):
     with np.errstate(invalid="ignore"):  # both raise invalid at +-inf
         expected = np.fmod(x, 1.0)
         got = expsum._frac(x)
-    assert got.view(np.int64).tolist() == expected.view(np.int64).tolist()
-
-
-def _bits(values) -> list[int]:
-    return np.array(values, dtype=float).view(np.int64).tolist()
+    assert _bits(got) == _bits(expected)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
