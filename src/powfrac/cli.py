@@ -27,8 +27,8 @@ import numpy as np
 
 from . import expsum, paircount, sieve
 from .errors import DimensionError, RangeError, ResourceError
-from .fraccore import (EnumerationSpec, check_work, enumerate_tuples, format_rational,
-                       parse_rational, tuple_count)
+from .fraccore import (EnumerationSpec, check_tuples, enumerate_tuples, format_rational,
+                       parse_rational)
 
 SCHEMA = 1
 
@@ -81,8 +81,7 @@ def _emit(args, report: dict, csv_lines: list[str] | None) -> None:
 
 def cmd_enumerate(args):
     spec = EnumerationSpec(args.k, args.n_max, args.coprime, args.sorted)
-    count = check_work(lambda cap: tuple_count(spec.k, spec.n_max, spec.coprime, cap),
-                       None, "enumerate tuples")
+    count = check_tuples(spec, "enumerate")
     shown = list(islice(enumerate_tuples(spec), args.limit))
     fields = {"k": args.k, "n_max": args.n_max, "coprime": args.coprime, "sorted": args.sorted,
               "count": count, "truncated": len(shown) < count,

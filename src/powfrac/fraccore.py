@@ -1,24 +1,33 @@
 """Exact representation, enumeration and counting of fractions u / n^k.
 
-Everything here is exact: values are stdlib `fractions.Fraction`
-(arbitrary-precision rationals, always in lowest terms), comparisons are
-integer cross-multiplications, and no floating point ever decides an
-order or a count.  reduced_denominators regroups the tuples into complete
-residue systems v/c with Moebius weights for the pair counts and the sieve.
+Counts are exact integers and values exact Fractions.  fraction_table, the one
+listing of the fractions, orders them by the float key u / n^k: one correctly
+rounded division of integers below 2^53, and rounding is monotone.  Distinct
+values differ by at least 1/n_max^(2k), more than the rounding error while
+n_max^(2k) < 2^53; past that, runs of equal keys are re-sorted exactly.
+reduced_denominators regroups the tuples into complete residue systems v/c
+with Moebius weights for the pair counts and the sieve.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Callable, Iterator
 
+import numpy as np
+
 from .errors import RangeError, ResourceError
+
+# Cap on the work a count predicts, unless POWFRAC_MAX_POINTS sets another: the
+# tuples a command lists or tabulates, or for a block count its strips.
+DEFAULT_MAX_POINTS = 2_000_000
+# Float key of u/n^k, monotone; distinct values get distinct keys while n_max^(2k) < _EXACT_KEYS.
+_order_key = np.true_divide
+_EXACT_KEYS = 2**53
 
 _RATIONAL_RE = re.compile(r"^([+-]?\d+)/(\d+)$")
 
@@ -131,13 +140,9 @@ def _base_counts(k: int, n_max: int, coprime: bool) -> Iterator[int]:
 
 
 def tuple_count(k: int, n_max: int, coprime: bool = False, cap: float = math.inf) -> int:
-    """Number of tuples the enumeration yields, in closed form: sum(n^k), or
-    sum(n^(k-1) * phi(n)) with the gcd filter.
-
-    The sum stops at the first partial sum past cap, which it returns: a
-    refusal only needs to know that the count passes the cap, so it need not
-    visit every base.  A count of at most cap is exact.
-    """
+    """Number of tuples in fraction_table, in closed form: sum(n^k), or sum(n^(k-1) * phi(n))
+    with the gcd filter.  The sum stops at the first partial sum past cap, which it
+    returns, since a refusal needs no more; a count of at most cap is exact."""
     total = 0
     for count in _base_counts(k, n_max, coprime):
         total += count
@@ -146,41 +151,59 @@ def tuple_count(k: int, n_max: int, coprime: bool = False, cap: float = math.inf
     return total
 
 
-def check_work(count_upto: Callable[[float], int], default: int | None, what: str) -> int:
+def check_work(count_upto: Callable[[int], int], default: int, what: str) -> int:
     """The predicted work, refused with ResourceError past the cap: the integer in
-    POWFRAC_MAX_POINTS, else the caller's default (None: no cap).  count_upto(cap)
-    returns the exact work when it is at most cap, else any amount past cap, so a
-    refusal may stop counting as soon as the count passes it.
-    """
+    POWFRAC_MAX_POINTS, else the caller's default.  count_upto(cap) returns the exact
+    work when it is at most cap, else any amount past cap: counting may stop there."""
     env = os.environ.get("POWFRAC_MAX_POINTS")
     cap = int(env) if env else default
-    work = count_upto(math.inf if cap is None else cap)
-    if cap is not None and work > cap:
+    work = count_upto(cap)
+    if work > cap:
         raise ResourceError(f"{what}: predicted at least {work} exceeds cap {cap}")
     return work
 
 
-def _per_base_stream(n: int, k: int, coprime: bool) -> Iterator[PowerFraction]:
-    nk = n**k
-    for u in range(1, nk + 1):
-        if coprime and gcd(u, n) > 1:
-            continue
-        yield PowerFraction(u, n, k)
+def check_tuples(spec: EnumerationSpec, what: str) -> int:
+    """The tuple count of spec (or of any query with its k, n_max and coprime), exact
+    unless refused with ResourceError past the cap; counting stops at the cap."""
+    return check_work(lambda cap: tuple_count(spec.k, spec.n_max, spec.coprime, cap),
+                      DEFAULT_MAX_POINTS, f"{what} tuples")
+
+
+def fraction_table(k: int, n_max: int, coprime: bool,
+                   ordered: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The tuples (u, n), 1 <= n <= n_max, 1 <= u <= n^k, as int64 arrays in (n, u) order,
+    or with ordered=True stably by value.  One np.gcd mask per base applies the gcd
+    filter.  Nothing is capped here: callers check the size first."""
+    us = []
+    for n in range(1, n_max + 1):
+        u = np.arange(1, n**k + 1, dtype=np.int64)
+        us.append(u[np.gcd(u, n) == 1] if coprime else u)
+    n = np.repeat(np.arange(1, n_max + 1), [len(b) for b in us])
+    u = np.concatenate(us)
+    del us  # the per-base arrays would double the memory of the sort
+    if not ordered:
+        return u, n
+    order = np.argsort(_order_key(u, n**k), kind="stable")
+    u, n = u[order], n[order]
+    if n_max ** (2 * k) >= _EXACT_KEYS:
+        # Runs of equal keys start where the run flag rises and end where it falls.
+        key = _order_key(u, n**k)
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], key[1:] == key[:-1], [0]))))
+        for lo, hi in zip(edges[::2].tolist(), (edges[1::2] + 1).tolist()):
+            u[lo:hi], n[lo:hi] = zip(*sorted(zip(u[lo:hi].tolist(), n[lo:hi].tolist()),
+                                             key=lambda t: (Fraction(t[0], t[1]**k), t[1], t[0])))
+    return u, n
 
 
 def enumerate_tuples(spec: EnumerationSpec) -> Iterator[PowerFraction]:
-    """Yield all tuples (u, n) with 1 <= n <= n_max, 1 <= u <= n^k.
-
-    With sorted=True the stream is non-decreasing by exact value, ties
-    ordered by (n, u); implemented as a heap merge of the per-base
-    streams (each already sorted), so memory stays O(n_max).
-    """
-    streams = (_per_base_stream(n, spec.k, spec.coprime) for n in range(1, spec.n_max + 1))
-    if spec.sorted:
-        yield from heapq.merge(*streams, key=lambda f: (f.value, f.n, f.u))
-    else:
-        for stream in streams:
-            yield from stream
+    """Yield fraction_table's tuples, with sorted=True by exact value and ties by (n, u).
+    The table is built whole on the first item, 16 bytes a tuple, so callers check the
+    cap first (check_tuples); the PowerFractions come a block at a time."""
+    u, n = fraction_table(spec.k, spec.n_max, spec.coprime, spec.sorted)
+    for lo in range(0, len(u), 4096):
+        for ui, ni in zip(u[lo:lo + 4096].tolist(), n[lo:lo + 4096].tolist()):
+            yield PowerFraction(ui, ni, spec.k)
 
 
 def circle_distance(z: Fraction, x: Fraction) -> Fraction:

@@ -26,24 +26,10 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import RangeError
-from .fraccore import (EnumerationSpec, check_work, enumerate_tuples, reduced_denominators,
-                       tuple_count)
-
-# Cap on the work a count predicts, unless POWFRAC_MAX_POINTS sets another: the
-# tuples a count enumerates or tabulates, or for a block count its strips.
-DEFAULT_MAX_POINTS = 2_000_000
+from .fraccore import (DEFAULT_MAX_POINTS, EnumerationSpec, check_tuples, check_work,
+                       fraction_table, reduced_denominators)
 
 HALF = Fraction(1, 2)
-
-
-def _check_tuples(spec: EnumerationSpec | PairQuery, what: str) -> int:
-    """Refuse an enumeration of spec's tuples past the cap, summing per-base counts
-    only until it passes.
-
-    Returns the tuple count, which is exact whenever it does not raise.
-    """
-    return check_work(lambda cap: tuple_count(spec.k, spec.n_max, spec.coprime, cap),
-                      DEFAULT_MAX_POINTS, f"{what} tuples")
 
 
 @dataclass(frozen=True)
@@ -176,7 +162,7 @@ def count_pairs_interval(q: PairQuery) -> int:
     w1*w2*_pair_count(c1, c2) over ordered pairs of entries; the count is
     symmetric in (c1, c2), so each unordered pair is counted once.
     """
-    tuples = _check_tuples(q, "count_pairs_interval")
+    tuples = check_tuples(q, "count_pairs_interval")
     circle = q.metric == "circle"
     if circle and 1 / q.y >= HALF:
         # every circle distance is at most 1/2 <= 1/y
@@ -192,17 +178,16 @@ def count_pairs_interval(q: PairQuery) -> int:
 
 def count_pairs_bruteforce(q: PairQuery) -> int:
     """O(P^2) oracle for count_pairs_interval; all-integer comparisons."""
-    _check_tuples(q, "count_pairs_bruteforce")
-    tuples = [(f.u, f.n**q.k) for f in enumerate_tuples(EnumerationSpec(q.k, q.n_max, q.coprime))]
+    check_tuples(q, "count_pairs_bruteforce")
+    u, n = fraction_table(q.k, q.n_max, q.coprime)
+    tuples = list(zip(u.tolist(), (n**q.k).tolist()))
     yp, yq = q.y.numerator, q.y.denominator
     circle = q.metric == "circle"
     count = 0
     for u1, d1 in tuples:
         for u2, d2 in tuples:
             dd = d1 * d2
-            diff = u1 * d2 - u2 * d1
-            if diff < 0:
-                diff = -diff
+            diff = abs(u1 * d2 - u2 * d1)
             # |v1 - v2| <= 1/y  <=>  diff * yp <= yq * dd
             if diff * yp <= yq * dd:
                 count += 1
@@ -283,9 +268,9 @@ def coverage_profile(k: int, n_max: int, y: Fraction, coprime: bool = True) -> C
     """Sweep the 2*P closed-arc endpoints into an exact coverage step function."""
     if y <= 0:
         raise RangeError(f"threshold scale y must be positive, got {y}")
-    spec = EnumerationSpec(k, n_max, coprime)
-    _check_tuples(spec, "coverage_profile")
-    centers = [f.value % 1 for f in enumerate_tuples(spec)]
+    check_tuples(EnumerationSpec(k, n_max, coprime), "coverage_profile")
+    u, n = fraction_table(k, n_max, coprime)
+    centers = [Fraction(a, b) % 1 for a, b in zip(u.tolist(), (n**k).tolist())]
     p = len(centers)
     r = 1 / y
     if r >= HALF:
@@ -323,7 +308,7 @@ def window_count(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool = T
     """
     if y <= 0:
         raise RangeError(f"threshold scale y must be positive, got {y}")
-    tuples = _check_tuples(EnumerationSpec(k, n_max, coprime), "window_count")
+    tuples = check_tuples(EnumerationSpec(k, n_max, coprime), "window_count")
     if 1 / y >= HALF:
         # every circle distance is at most 1/2 <= 1/y
         return tuples

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimensionError, RangeError, ResourceError
-from .fraccore import check_work, reduced_denominators, tuple_count
+from .fraccore import check_work, fraction_table, reduced_denominators, tuple_count
 
 # Cap on the P x m_len matrix entries, unless POWFRAC_MAX_POINTS sets another.
 DEFAULT_MAX_ENTRIES = 5_000_000
@@ -51,15 +51,9 @@ class SieveProblem:
             raise RangeError(f"m_offset must be >= 0, got {self.m_offset}")
 
 
-def _coprime_residues(n: int, k: int) -> np.ndarray:
-    """The a in [1, n^k] with gcd(a, n) = 1, ascending, as int64."""
-    a = np.arange(1, n**k + 1, dtype=np.int64)
-    return a[np.gcd(a, n) == 1]
-
-
-def sieve_rows(p: SieveProblem) -> list[tuple[int, int]]:
-    """Row index set [(a, n)] in (n, a)-lexicographic order."""
-    return [(a, n) for n in range(1, p.n_max + 1) for a in _coprime_residues(n, p.k).tolist()]
+def sieve_rows(p: SieveProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (a, n) as two int64 arrays, in (n, a)-lexicographic order."""
+    return fraction_table(p.k, p.n_max, True)
 
 
 def row_count(p: SieveProblem) -> int:
@@ -77,18 +71,17 @@ def sieve_matrix(p: SieveProblem) -> np.ndarray:
     int), so a*m stays below n^(2k) and the int64 product is exact while
     n^k < 2^31; larger moduli are refused.
     """
-    rows = row_count(p)
+    row_count(p)
     if p.n_max**p.k >= _MAX_INT64_MODULUS:
         raise ResourceError(f"modulus {p.n_max}^{p.k} is past the exact int64 range")
+    a, bases = sieve_rows(p)
+    starts = np.searchsorted(bases, np.arange(1, p.n_max + 2)).tolist()
     window = np.arange(1, p.m_len + 1, dtype=np.int64)
-    out = np.empty((rows, p.m_len), dtype=complex)
-    i = 0
+    out = np.empty((len(a), p.m_len), dtype=complex)
     for n in range(1, p.n_max + 1):
-        nk = n**p.k
-        a = _coprime_residues(n, p.k)
+        nk, rows = n**p.k, slice(starts[n - 1], starts[n])
         m = (p.m_offset % nk + window) % nk
-        out[i:i + len(a)] = np.exp(2j * np.pi * ((a[:, None] * m) % nk) / nk)
-        i += len(a)
+        out[rows] = np.exp(2j * np.pi * ((a[rows, None] * m) % nk) / nk)
     return out
 
 
@@ -180,9 +173,9 @@ def sieve_gram_eigenvalue(p: SieveProblem) -> float:
         if 4 * p.n_max ** (4 * p.k) >= _MAX_INT64_PRODUCT:
             raise ResourceError(f"phase denominators up to {p.n_max}^{2 * p.k} are past "
                                 f"the exact int64 range")
-        rows = np.array(sieve_rows(p), dtype=np.int64).reshape(-1, 2)
-        rows[:, 1] **= p.k
-        a, q = rows.T
+        a, n = sieve_rows(p)
+        q = n**p.k
+        rows = np.stack([a, q], axis=1)
         lower = 2 * a < q
         fixed = (2 * a == q) | (a == q)
         plus = (2 * a == q) | (m % 2 == 1)

@@ -3,6 +3,7 @@
 import ast
 import cmath
 import importlib.util
+import inspect
 import json
 import math
 import re
@@ -497,6 +498,7 @@ def test_sieve_vectors_refused_before_allocating(capsys, argv):
     (["sieve-delta", "--k", "1", "--n-max", "3000000", "--m-len", "1"], None),
     (["pairs", "--k", "1", "--n-max", "3000000", "--y", "1/1", "--coprime"], None),
     (["enumerate", "--k", "1", "--n-max", "3000000", "--coprime"], "2000000"),
+    (["enumerate", "--k", "1", "--n-max", "10000000", "--coprime", "--limit", "1"], None),
 ])
 def test_refusal_stops_counting_at_the_cap(capsys, monkeypatch, argv, env_cap):
     if env_cap:
@@ -545,7 +547,8 @@ def test_fraction_set_counted_once_per_cap_check(capsys, monkeypatch, argv, pass
 
 
 def test_traced_names_exist():
-    """Every function the benchmark's tracer wraps is still defined in its module."""
+    """Every function the benchmark's tracer wraps is still defined in its module, and
+    enumerate_tuples is still a generator: the tracer counts the tuples it yields."""
     path = Path(__file__).parents[1] / "bench" / "tracer.py"
     if not path.exists():
         pytest.skip("bench/tracer.py is absent")
@@ -554,6 +557,24 @@ def test_traced_names_exist():
     spec.loader.exec_module(tracer)
     missing = [f"{module}.{name}" for module, names in tracer.TRACED.items()
                for name in names if not hasattr(importlib.import_module(f"powfrac.{module}"), name)]
+    assert missing == []
+    assert inspect.isgeneratorfunction(fraccore.enumerate_tuples)
+
+
+def test_benchmark_imports_exist():
+    """Every powfrac name that a file in bench/ imports still exists; the files are
+    parsed, not run."""
+    bench = Path(__file__).parents[1] / "bench"
+    imported = []
+    for path in sorted(bench.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "powfrac":
+                imported += [(node.module, alias.name) for alias in node.names]
+    if not imported:
+        pytest.skip("bench/ imports nothing from powfrac")
+    missing = [(module, name) for module, name in imported
+               if not hasattr(importlib.import_module(module), name)
+               and importlib.util.find_spec(f"{module}.{name}") is None]
     assert missing == []
 
 

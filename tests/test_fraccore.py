@@ -1,12 +1,15 @@
 """Exact fractions, their enumeration and counting, the input checks and the shared
 resource cap."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powfrac import (DyadicBlockQuery, EnumerationSpec, MeanValueSpec, PairQuery, PhaseSpec,
                      RangeError, ResourceError, circle_distance, count_pairs_block,
@@ -14,7 +17,8 @@ from powfrac import (DyadicBlockQuery, EnumerationSpec, MeanValueSpec, PairQuery
                      dense_gram_eigenvalue, dual_quadratic_form, enumerate_tuples, euler_phi,
                      format_rational, l1_sieve_sum, parse_rational, power_phase,
                      sharpness_study, sieve_gram_eigenvalue, tuple_count, window_count)
-from powfrac.fraccore import check_work, mobius_upto
+from powfrac import fraccore
+from powfrac.fraccore import check_work, fraction_table, mobius_upto
 from powfrac.sieve import SieveProblem, row_count, sieve_matrix
 
 
@@ -59,6 +63,50 @@ def test_coprime_values_are_distinct():
     # with gcd(u,n)=1 the tuple -> value map is injective
     vals = [f.value for f in enumerate_tuples(EnumerationSpec(2, 6, coprime=True))]
     assert len(vals) == len(set(vals))
+
+
+# Largest n_max drawn for each k: a few hundred tuples, so equal values recur without
+# the gcd filter and the Fraction oracle stays cheap.
+_TABLE_N = {1: 30, 2: 10, 3: 6, 4: 4}
+
+
+def _listing(k, n_max, coprime, ordered):
+    """The oracle: a double loop with math.gcd, sorted on exact Fractions if asked."""
+    pairs = [(u, n) for n in range(1, n_max + 1) for u in range(1, n**k + 1)
+             if not coprime or math.gcd(u, n) == 1]
+    if ordered:
+        pairs.sort(key=lambda t: (Fraction(t[0], t[1] ** k), t[1], t[0]))
+    return pairs
+
+
+def _pairs(table):
+    u, n = table
+    assert u.dtype == n.dtype == np.int64
+    return list(zip(u.tolist(), n.tolist()))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(kn=st.integers(1, 4).flatmap(lambda k: st.tuples(st.just(k), st.integers(1, _TABLE_N[k]))),
+       coprime=st.booleans(), ordered=st.booleans())
+def test_fraction_table_matches_the_double_loop(kn, coprime, ordered):
+    k, n_max = kn
+    expected = _listing(k, n_max, coprime, ordered)
+    assert _pairs(fraction_table(k, n_max, coprime, ordered)) == expected
+    spec = EnumerationSpec(k, n_max, coprime, ordered)
+    assert [(f.u, f.n) for f in enumerate_tuples(spec)] == expected
+
+
+def test_colliding_keys_are_ordered_exactly(monkeypatch):
+    # A key of 8 buckets puts distinct values in one run; the exact run sort must
+    # restore the oracle's order once the bound says keys may collide.
+    monkeypatch.setattr(fraccore, "_order_key", lambda u, den: np.floor(8 * u / den))
+    cases = [(k, n_max, coprime) for k, n_max in ((1, 12), (2, 6), (3, 4), (4, 3))
+             for coprime in (False, True)]
+    assert any(_pairs(fraction_table(k, n, c, True)) != _listing(k, n, c, True)
+               for k, n, c in cases)
+    monkeypatch.setattr(fraccore, "_EXACT_KEYS", 1)
+    for k, n_max, coprime in cases:
+        assert _pairs(fraction_table(k, n_max, coprime, True)) == _listing(k, n_max, coprime, True)
 
 
 def test_circle_distance_examples():
@@ -131,7 +179,6 @@ def test_inputs_are_checked_when_built(build):
 
 def test_check_work_reads_the_cap_from_the_environment(monkeypatch):
     monkeypatch.delenv("POWFRAC_MAX_POINTS", raising=False)
-    assert check_work(lambda cap: 7, None, "work") == 7
     assert check_work(lambda cap: 7, 7, "work") == 7
     with pytest.raises(ResourceError, match="work: predicted at least 8 exceeds cap 7"):
         check_work(lambda cap: 8, 7, "work")
@@ -140,10 +187,9 @@ def test_check_work_reads_the_cap_from_the_environment(monkeypatch):
         check_work(lambda cap: 8, 7, "work")
     monkeypatch.setenv("POWFRAC_MAX_POINTS", "8")  # the variable overrides any default
     assert check_work(lambda cap: 8, 7, "work") == 8
-    assert check_work(lambda cap: 8, None, "work") == 8
     # the count may stop as soon as it passes the cap it is given: 1 + 2 + 3 + 4 > 8
     with pytest.raises(ResourceError, match="at least 10 exceeds cap 8"):
-        check_work(lambda cap: tuple_count(1, 10**9, False, cap), None, "work")
+        check_work(lambda cap: tuple_count(1, 10**9, False, cap), 7, "work")
 
 
 _SIEVE = SieveProblem(2, 3, 2)  # 9 rows, 18 entries

@@ -370,7 +370,7 @@ def test_lattice_counts_never_enumerate(monkeypatch):
                   PairQuery(2, 6, Fraction(216), True, "line"),
                   PairQuery(2, 6, Fraction(216), True, "circle")]
     expected = [count_pairs_bruteforce(q) for q in few_tuples]
-    monkeypatch.setattr(paircount, "enumerate_tuples", refuse)
+    monkeypatch.setattr(paircount, "fraction_table", refuse)
     assert count_pairs_block(DyadicBlockQuery(2, 100, 8, 120, 9, Fraction(10**5))) > 0
     # near-pair and window counts are closed forms over complete residue
     # systems: no lattice strip either

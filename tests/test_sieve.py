@@ -219,19 +219,20 @@ def test_single_modulus_delta_is_window_length():
 def test_two_rows_unit_window():
     # M=1: Gram is the all-ones P x P matrix, eigenvalue P.
     p = SieveProblem(k=2, n_max=2, m_len=1)
-    rows = sieve_rows(p)
-    assert len(rows) == 3
+    a, _ = sieve_rows(p)
+    assert len(a) == 3
     assert sieve_gram_eigenvalue(p) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_rows_are_coprime_and_lex_sorted():
     p = SieveProblem(k=2, n_max=5, m_len=4)
-    rows = sieve_rows(p)
-    assert all(math.gcd(a, n) == 1 for a, n in rows)
-    keyed = [(n, a) for a, n in rows]
+    a, n = sieve_rows(p)
+    assert a.dtype == n.dtype == np.int64
+    assert (np.gcd(a, n) == 1).all()
+    keyed = list(zip(n.tolist(), a.tolist()))
     assert keyed == sorted(keyed)
     expected = tuple_count(2, 5, coprime=True)
-    assert len(rows) == expected
+    assert len(a) == expected
 
 
 def test_power_iteration_matches_dense():
@@ -253,9 +254,9 @@ def test_power_vs_dense_small_grid():
 def test_delta_lower_bound_max_m_p():
     for k, n_max, m_len in [(1, 4, 3), (2, 3, 8), (1, 6, 20)]:
         p = SieveProblem(k=k, n_max=n_max, m_len=m_len)
-        rows = sieve_rows(p)
+        a, _ = sieve_rows(p)
         val = dense_gram_eigenvalue(p)
-        assert val >= max(m_len, len(rows)) - 1e-9
+        assert val >= max(m_len, len(a)) - 1e-9
 
 
 def test_delta_invariant_under_window_offset():
@@ -281,10 +282,10 @@ def test_l1_sum_basis_vector():
     # alpha = e_j concentrates all mass on one row; each matrix entry has
     # modulus one, so the l1 norm of B alpha is exactly P.
     p = SieveProblem(k=2, n_max=2, m_len=1)
-    rows = sieve_rows(p)
+    a, _ = sieve_rows(p)
     alpha = np.zeros(1)
     alpha[0] = 1.0
-    assert l1_sieve_sum(p, alpha) == pytest.approx(len(rows), abs=1e-9)
+    assert l1_sieve_sum(p, alpha) == pytest.approx(len(a), abs=1e-9)
 
 
 def test_l1_sum_zero_vector():
@@ -296,9 +297,9 @@ def test_l1_sum_cauchy_schwarz_bound():
     # l1(alpha) <= sqrt(P * Delta) * ||alpha||_2 for every alpha.
     rng = np.random.default_rng(42)
     p = SieveProblem(k=2, n_max=4, m_len=10)
-    rows = sieve_rows(p)
+    a, _ = sieve_rows(p)
     delta = dense_gram_eigenvalue(p)
-    cap = math.sqrt(len(rows) * delta)
+    cap = math.sqrt(len(a) * delta)
     for _ in range(50):
         alpha = rng.normal(size=10) + 1j * rng.normal(size=10)
         alpha /= np.linalg.norm(alpha)
@@ -336,17 +337,17 @@ def test_dual_form_bounded_by_delta():
 
 def test_dual_form_refuses_before_listing_rows(monkeypatch):
     # P ~ 2.4e12 rows: listing them would never finish
-    monkeypatch.setattr(sieve, "_coprime_residues",
-                        lambda n, k: pytest.fail("listed rows past the cap"))
+    monkeypatch.setattr(sieve, "fraction_table",
+                        lambda *args: pytest.fail("listed rows past the cap"))
     with pytest.raises(ResourceError):
         dual_quadratic_form(SieveProblem(3, 2000, 1), np.ones(1))
 
 
 def test_dual_form_rejects_wrong_length_sequence():
     p = SieveProblem(k=1, n_max=2, m_len=3)
-    rows = sieve_rows(p)
+    a, _ = sieve_rows(p)
     with pytest.raises(DimensionError):
-        dual_quadratic_form(p, [1.0] * (len(rows) + 1))
+        dual_quadratic_form(p, [1.0] * (len(a) + 1))
 
 
 def test_duality_l1_versus_sup_estimate():
@@ -357,7 +358,7 @@ def test_duality_l1_versus_sup_estimate():
     # the candidate set.
     rng = np.random.default_rng(42)
     p = SieveProblem(k=2, n_max=4, m_len=8)
-    rows = sieve_rows(p)
+    a, _ = sieve_rows(p)
     b = sieve_matrix(p)
 
     alpha = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -366,7 +367,7 @@ def test_duality_l1_versus_sup_estimate():
 
     best = 0.0
     for _ in range(200):
-        phases = rng.uniform(0.0, 1.0, size=len(rows))
+        phases = rng.uniform(0.0, 1.0, size=len(a))
         c = np.exp(2j * np.pi * phases)
         best = max(best, float(np.sum(np.abs(c @ b) ** 2)))
     image = b @ alpha
@@ -414,17 +415,17 @@ def test_sieve_matrix_entries_unimodular():
     p = SieveProblem(k=2, n_max=3, m_len=4, m_offset=5)
     b = sieve_matrix(p)
     assert np.allclose(np.abs(b), 1.0)
-    rows = sieve_rows(p)
-    assert b.shape == (len(rows), 4)
+    a, _ = sieve_rows(p)
+    assert b.shape == (len(a), 4)
 
 
 def test_sieve_matrix_first_row_constant():
     # Row (a=1, n=1) reduces a*m mod 1 to 0 for every m: all entries equal 1.
     p = SieveProblem(k=1, n_max=3, m_len=6)
-    rows = sieve_rows(p)
+    a, n = sieve_rows(p)
     b = sieve_matrix(p)
-    idx = rows.index((1, 1))
-    assert np.allclose(b[idx], 1.0)
+    assert (a[0], n[0]) == (1, 1)
+    assert np.allclose(b[0], 1.0)
 
 
 @pytest.mark.parametrize("k, n_max, m_len, m_offset", [
@@ -434,11 +435,12 @@ def test_sieve_matrix_first_row_constant():
 def test_sieve_matrix_matches_exact_integer_reference(k, n_max, m_len, m_offset):
     # Reference: each phase reduced as a Python int, one row at a time.
     p = SieveProblem(k, n_max, m_len, m_offset)
+    rows_a, rows_n = sieve_rows(p)
     ref = np.array([
         np.exp(2j * np.pi * np.array([(a * m) % n**k for m in range(m_offset + 1,
                                                                    m_offset + m_len + 1)],
                                      dtype=float) / n**k)
-        for a, n in sieve_rows(p)
+        for a, n in zip(rows_a.tolist(), rows_n.tolist())
     ])
     assert np.array_equal(sieve_matrix(p), ref)
 
