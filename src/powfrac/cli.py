@@ -7,8 +7,8 @@ thresholds survive parsing exactly.  Reports carry a top-level
 except for the elapsed_ms timing field.  Exit codes: 0 success,
 2 argument validation, 3 resource-cap refusal, 1 internal error.
 
-Each cmd_* only computes: it returns (fields, summary, csv_lines or None)
-and main() wraps the fields into the report and writes it.
+The CLI only parses and reports: each cmd_* calls public library names and
+returns (fields, summary, csv_lines or None), and main() writes the report.
 """
 
 from __future__ import annotations
@@ -162,26 +162,9 @@ def cmd_expsum_vdc(args):
 
 
 def cmd_kusmin(args):
-    coef, power = args.coef, args.power
-    for name in ("coef", "power", "a", "b"):
-        if not math.isfinite(getattr(args, name)):
-            raise RangeError(f"--{name} must be finite, got {getattr(args, name)}")
-    if math.ceil(args.a) <= math.floor(args.b):
-        # n**power is complex at n < 0 unless power is an integer; f' has a pole at 0 if power < 1.
-        if args.a <= -1 and power != int(power):
-            raise RangeError(f"n^{power} is not real at the negative integers of "
-                             f"[{args.a}, {args.b}]")
-        if args.a <= 0 <= args.b and power < 1:
-            raise RangeError(f"f'(n) = coef*{power}*n^{power - 1} is undefined at n = 0")
-    # f_array is f with libm's pow on each float(n): int ** float and math.pow both end
-    # in it here, and CPython negates pow(|x|, power) as libm does for a negative base.
-    phase = expsum.GenericPhase(f=lambda x: coef * x**power,
-                                df=lambda x: coef * power * x ** (power - 1),
-                                d2f=lambda x: coef * power * (power - 1) * x ** (power - 2),
-                                a=args.a, b=args.b,
-                                f_array=lambda ns: coef * expsum._pow(expsum._floats(ns), power))
+    phase = expsum.power_law_phase(args.coef, args.power, args.a, args.b)
     report = expsum.kusmin_landau_check(phase, args.lam)
-    fields = {"coef": coef, "power": power, "a": args.a, "b": args.b, "lam": args.lam,
+    fields = {"coef": args.coef, "power": args.power, "a": args.a, "b": args.b, "lam": args.lam,
               "magnitude": report.magnitude, "bound": report.bound, "passed": report.passed}
     summary = (f"kusmin: |sum|={report.magnitude:.6g} bound={report.bound:.6g} "
                f"passed={report.passed}")

@@ -1,5 +1,6 @@
 """Exponential sums: direct evaluation, stationary-phase transforms,
-Kusmin-Landau checks, and mean-value integrals.
+Kusmin-Landau checks, mean-value integrals and the phase pair count,
+all in floats; power_law_phase builds the kusmin phase and checks its domain.
 
 Conventions: e(x) = exp(2*pi*i*x); every phase is reduced mod 1 before
 the trigonometric call so that large arguments (f can exceed 1e6
@@ -32,12 +33,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, ClassVar, Optional
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
 from .errors import RangeError, ResourceError, RootBracketError
-from .paircount import _pairs_within
 
 # Largest P^2 (entries of the phase-difference kernel) mean_value_integral builds.
 MAX_KERNEL_ENTRIES = 5_000_000
@@ -298,6 +298,28 @@ def monomial_phase(p: PhaseSpec) -> GenericPhase:
     )
 
 
+def power_law_phase(coef: float, power: float, a: float, b: float) -> GenericPhase:
+    """f(n) = coef * n**power on [a, b], the phase of the kusmin command.
+
+    RangeError when an argument is not finite, or when [a, b] holds an integer
+    where n**power is not real or f' is undefined.  f_array is f with libm's pow
+    on each float(n): int ** float and math.pow both end in it here, and CPython
+    negates pow(|x|, power) as libm does for a negative base.
+    """
+    for name, value in (("coef", coef), ("power", power), ("a", a), ("b", b)):
+        if not math.isfinite(value):
+            raise RangeError(f"{name} must be finite, got {value}")
+    if math.ceil(a) <= math.floor(b):
+        # n**power is complex at n < 0 unless power is an integer; f' has a pole at 0 if power < 1.
+        if a <= -1 and power != int(power):
+            raise RangeError(f"n^{power} is not real at the negative integers of [{a}, {b}]")
+        if a <= 0 <= b and power < 1:
+            raise RangeError(f"f'(n) = coef*{power}*n^{power - 1} is undefined at n = 0")
+    return GenericPhase(f=lambda x: coef * x**power, df=lambda x: coef * power * x ** (power - 1),
+                        d2f=lambda x: coef * power * (power - 1) * x ** (power - 2), a=a, b=b,
+                        f_array=lambda ns: coef * _pow(_floats(ns), power))
+
+
 def direct_phase_sum(g: GenericPhase) -> complex:
     """Sum of e(f(n)) over integers strictly inside (a, b)."""
     return _phase_sum(_interior_integers(g.a, g.b, "direct sum"), g.phases)
@@ -474,10 +496,29 @@ def mean_value_integral(s: MeanValueSpec) -> float:
     return float((thetas @ kernel @ thetas.conj()).real)
 
 
+def _pairs_within(a: Sequence, b: Sequence, lo, hi) -> int:
+    """Ordered pairs (v in a, w in b) with lo <= w - v <= hi; a and b sorted.
+
+    w - v falls as v rises, so the two pointers into b only move forward:
+    O(len(a) + len(b)) comparisons.  Ties at either edge count.  The test is
+    on differences, so it is exact on Fractions and, on floats, the rounded
+    predicate of the double loop: rounded subtraction is monotone.
+    """
+    count = start = stop = 0
+    n = len(b)
+    for v in a:
+        while start < n and b[start] - v < lo:
+            start += 1
+        while stop < n and b[stop] - v <= hi:
+            stop += 1
+        count += stop - start
+    return count
+
+
 def phase_pair_count(s: MeanValueSpec) -> int:
     """Ordered quadruples with |phi(n1,u1) - phi(n2,u2)| <= 1/y_max (float compare).
 
-    One sorted sweep, paircount._pairs_within, tests -t <= phi_j - phi_i <= t:
+    One sorted float sweep, _pairs_within, tests -t <= phi_j - phi_i <= t:
     the predicate of the double loop, since fl(b - p) = -fl(p - b).
     """
     phis = sorted(s.tables[0].tolist())

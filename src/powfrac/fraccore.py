@@ -204,9 +204,3 @@ def enumerate_tuples(spec: EnumerationSpec) -> Iterator[PowerFraction]:
     for lo in range(0, len(u), 4096):
         for ui, ni in zip(u[lo:lo + 4096].tolist(), n[lo:lo + 4096].tolist()):
             yield PowerFraction(ui, ni, spec.k)
-
-
-def circle_distance(z: Fraction, x: Fraction) -> Fraction:
-    """Distance from z - x to the nearest integer; exact, in [0, 1/2]."""
-    d = (z - x) % 1
-    return min(d, 1 - d)

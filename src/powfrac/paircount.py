@@ -2,8 +2,8 @@
 
 Every count in this module is decided in exact integer or rational
 arithmetic; floats appear only in report diagnostics, never in a
-comparison that decides a count.  Boundary ties (distance exactly equal
-to the threshold) are always included.
+comparison that decides a count (expsum counts the float phase pairs).
+Boundary ties (distance exactly equal to the threshold) always count.
 
 Near-pair and window counts run over fraccore.reduced_denominators, the
 table of reduced denominators c with integer weights w(c): w(n^k) = 1
@@ -23,7 +23,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import RangeError
 from .fraccore import (DEFAULT_MAX_POINTS, EnumerationSpec, check_tuples, check_work,
@@ -49,25 +49,6 @@ class PairQuery:
             raise RangeError(f"threshold scale y must be positive, got {self.y}")
         if self.metric not in ("line", "circle"):
             raise RangeError(f"metric must be 'line' or 'circle', got {self.metric!r}")
-
-
-def _pairs_within(a: Sequence, b: Sequence, lo, hi) -> int:
-    """Ordered pairs (v in a, w in b) with lo <= w - v <= hi; a and b sorted.
-
-    w - v falls as v rises, so the two pointers into b only move forward:
-    O(len(a) + len(b)) comparisons.  Ties at either edge count.  The test is
-    on differences, so it is exact on Fractions and, on floats, the rounded
-    predicate of the double loop: rounded subtraction is monotone.
-    """
-    count = start = stop = 0
-    n = len(b)
-    for v in a:
-        while start < n and b[start] - v < lo:
-            start += 1
-        while stop < n and b[stop] - v <= hi:
-            stop += 1
-        count += stop - start
-    return count
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:

@@ -99,6 +99,19 @@ def test_enumerate_bad_range_exits_2_without_listing(capsys, k, n_max):
     assert out == ""
 
 
+@pytest.mark.parametrize("extra", [[], ["--metric", "circle"], ["--coprime"]])
+def test_pairs_oracle_equals_fast_count(capsys, extra):
+    def count(method):
+        code, out, _ = run_cli(capsys, ["pairs", "--k", "2", "--n-max", "6", "--y", "50/1",
+                                        "--method", method] + extra)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == method
+        return payload["count"]
+
+    assert count("oracle") == count("sweep")
+
+
 def test_blocks_count(capsys):
     code, out, _ = run_cli(capsys, [
         "blocks", "--k", "2", "--u1", "1", "--n1", "1", "--u2", "1", "--n2", "1",
@@ -368,6 +381,35 @@ def test_sieve_dual_ones_single_modulus(capsys):
     assert json.loads(out)["value"] == pytest.approx(7.0)
 
 
+def test_sieve_l1_ones_mode(capsys):
+    code, out, _ = run_cli(capsys, ["sieve-l1", "--k", "2", "--n-max", "3", "--m-len", "5",
+                                    "--alpha-mode", "ones"])
+    assert code == 0
+    payload = json.loads(out)
+    # each row a/n^k with gcd(a, n) = 1 contributes |sum of e(a*m/n^k) over m = 1..5|
+    rows = [(a, n**2) for n in range(1, 4) for a in range(1, n**2 + 1) if math.gcd(a, n) == 1]
+    expected = sum(abs(sum(cmath.exp(2j * math.pi * a * m / q) for m in range(1, 6)))
+                   for a, q in rows)
+    assert payload["value"] == pytest.approx(expected, rel=1e-12)
+    assert payload["within_cs"] is True
+
+
+def test_sieve_dual_random_unimodular_is_seeded_and_bounded(capsys):
+    def report(seed):
+        code, out, _ = run_cli(capsys, ["sieve-dual", "--k", "2", "--n-max", "3", "--m-len", "5",
+                                        "--coeff-mode", "random-unimodular", "--seed", seed])
+        assert code == 0
+        payload = json.loads(out)
+        payload.pop("elapsed_ms")
+        return payload
+
+    first = report("5")
+    assert first["within_bound"] is True
+    assert first["coeff_norm_sq"] == pytest.approx(9.0)  # P = 9 unit coefficients
+    assert json.dumps(report("5"), sort_keys=True) == json.dumps(first, sort_keys=True)
+    assert report("6")["value"] != first["value"]
+
+
 def test_bounds_csv_row(capsys):
     code, out, _ = run_cli(capsys, [
         "bounds", "--k", "2", "--n", "10", "--m", "1000", "--format", "csv",
@@ -589,6 +631,50 @@ def test_public_names_are_exported():
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
     public = {name for name in imported if not name.startswith("_")}
     assert set(powfrac.__all__) - {"__version__"} == public
+
+
+def _private_name(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_module_reaches_into_another_modules_private_names():
+    """No file of the package imports a _name from another powfrac module, or reads
+    module._name on a powfrac module it imported: each decision stays behind the one
+    module that owns it."""
+    package = Path(powfrac.__file__).parent
+    leaks = []
+    for path in sorted(package.glob("*.py")):
+        own = "powfrac" if path.stem == "__init__" else f"powfrac.{path.stem}"
+        modules = {}  # local name -> powfrac module it is bound to
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "powfrac":
+                        local = alias.asname or alias.name.split(".")[0]
+                        modules[local] = alias.name if alias.asname else "powfrac"
+            elif isinstance(node, ast.ImportFrom):
+                source = ".".join(filter(None, ["powfrac" if node.level else None, node.module]))
+                if source.split(".")[0] != "powfrac":
+                    continue
+                for alias in node.names:
+                    target = getattr(importlib.import_module(source), alias.name, None)
+                    if inspect.ismodule(target):
+                        modules[alias.asname or alias.name] = target.__name__
+                    elif _private_name(alias.name) and source != own:
+                        leaks.append(f"{path.name}:{node.lineno} imports {source}.{alias.name}")
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and _private_name(node.attr)):
+                continue
+            chain, value = [], node.value
+            while isinstance(value, ast.Attribute):
+                chain.insert(0, value.attr)
+                value = value.value
+            if isinstance(value, ast.Name) and value.id in modules:
+                module = ".".join([modules[value.id]] + chain)
+                if module != own:
+                    leaks.append(f"{path.name}:{node.lineno} reads {module}.{node.attr}")
+    assert leaks == []
 
 
 def test_every_test_import_is_declared():

@@ -16,9 +16,8 @@ from powfrac.expsum import (MAX_SUM_TERMS, SUM_CHUNK, GenericPhase, MeanValueSpe
                             calibrate_pair_count_vs_mean_value, direct_monomial_sum,
                             direct_phase_sum, dual_term_count, kusmin_landau_check,
                             mean_value_integral, monomial_phase, monomial_term_count,
-                            phase_pair_count, power_phase, read_calibration,
-                            stationary_phase_generic, vdc_transform_sum,
-                            write_calibration)
+                            phase_pair_count, power_law_phase, power_phase, read_calibration,
+                            stationary_phase_generic, vdc_transform_sum, write_calibration)
 
 
 def test_direct_sum_zero_phase():
@@ -345,6 +344,44 @@ def test_kusmin_landau_refused_past_term_cap_before_any_call():
     phase = GenericPhase(f=fail, df=fail, d2f=fail, a=0.0, b=float(MAX_SUM_TERMS))
     with pytest.raises(ResourceError):
         kusmin_landau_check(phase, 0.3)
+
+
+def test_power_law_phase_refuses_non_finite_arguments():
+    # a = -5 with an integer power is in the domain, so a nan or infinite power
+    # reaches the integer test of the domain check unless the finiteness check comes first
+    good = [0.3, 2.0, -5.0, 5.0]
+    power_law_phase(*good)
+    for i, name in enumerate(("coef", "power", "a", "b")):
+        for bad in (math.nan, math.inf, -math.inf):
+            args = good[:i] + [bad] + good[i + 1:]
+            with pytest.raises(RangeError, match=f"^{name} must be finite"):
+                power_law_phase(*args)
+
+
+def test_power_law_phase_domain_refusals():
+    with pytest.raises(RangeError) as refused:
+        power_law_phase(0.3, 1.5, -5.0, 5.0)
+    assert str(refused.value) == "n^1.5 is not real at the negative integers of [-5.0, 5.0]"
+    with pytest.raises(RangeError) as refused:
+        power_law_phase(0.3, 0.5, 0.0, 5.0)
+    assert str(refused.value) == "f'(n) = coef*0.5*n^-0.5 is undefined at n = 0"
+    # no integer of the interval sits where the phase is undefined
+    power_law_phase(0.3, 1.5, -0.5, 0.5)
+    power_law_phase(0.3, 0.5, 0.5, 5.0)
+
+
+@pytest.mark.parametrize("coef, power, lo, hi", [
+    (0.8, 0.5, 4, 2000),
+    (0.3, 1.0, 2**53 - 50, 2**53 + 50),
+    (1e-9, 0.5, 2**53 - 50, 2**53 + 50),
+    (-1.9e7, -1.5, 2**53 - 50, 2**53 + 50),
+    (1e-9, 3.0, -(2**53) - 50, -(2**53) + 50),
+    (0.7, 2.0, -(2**53) - 50, -(2**53) + 50),
+])
+def test_power_law_phase_array_form_equals_f(coef, power, lo, hi):
+    phase = power_law_phase(coef, power, float(lo), float(hi))
+    ns = range(lo, hi + 1)
+    assert _bits(phase.f_array(ns)) == _bits([phase.f(n) for n in ns])
 
 
 def test_kusmin_landau_random_monotone_monomials():

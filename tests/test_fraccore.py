@@ -2,7 +2,6 @@
 resource cap."""
 
 import math
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -12,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powfrac import (DyadicBlockQuery, EnumerationSpec, MeanValueSpec, PairQuery, PhaseSpec,
-                     RangeError, ResourceError, circle_distance, count_pairs_block,
-                     count_pairs_bruteforce, count_pairs_interval, coverage_profile,
-                     dense_gram_eigenvalue, dual_quadratic_form, enumerate_tuples, euler_phi,
-                     format_rational, l1_sieve_sum, parse_rational, power_phase,
-                     sharpness_study, sieve_gram_eigenvalue, tuple_count, window_count)
+                     RangeError, ResourceError, count_pairs_block, count_pairs_bruteforce,
+                     count_pairs_interval, coverage_profile, dense_gram_eigenvalue,
+                     dual_quadratic_form, enumerate_tuples, euler_phi, format_rational,
+                     l1_sieve_sum, parse_rational, power_phase, sharpness_study,
+                     sieve_gram_eigenvalue, tuple_count, vdc_transform_sum, window_count)
 from powfrac import fraccore
 from powfrac.fraccore import check_work, fraction_table, mobius_upto
 from powfrac.sieve import SieveProblem, row_count, sieve_matrix
@@ -109,24 +108,6 @@ def test_colliding_keys_are_ordered_exactly(monkeypatch):
         assert _pairs(fraction_table(k, n_max, coprime, True)) == _listing(k, n_max, coprime, True)
 
 
-def test_circle_distance_examples():
-    assert circle_distance(Fraction(1), Fraction(0)) == 0
-    assert circle_distance(Fraction(1, 2), Fraction(0)) == Fraction(1, 2)
-    assert circle_distance(Fraction(3, 4), Fraction(0)) == Fraction(1, 4)
-
-
-def test_circle_distance_symmetry_and_range():
-    rng = random.Random(42)
-    for _ in range(200):
-        z = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
-        x = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
-        d = circle_distance(z, x)
-        assert d == circle_distance(x, z)
-        assert 0 <= d <= Fraction(1, 2)
-        # shifting either argument by an integer changes nothing
-        assert d == circle_distance(z + 3, x - 2)
-
-
 def test_rational_parse_format_round_trip():
     assert parse_rational("3/4") == Fraction(3, 4)
     assert parse_rational("-7/2") == Fraction(-7, 2)
@@ -162,18 +143,30 @@ def test_mobius_upto_matches_factorization():
     assert mobius_upto(500) == [0] + [mu(n) for n in range(1, 501)]
 
 
-@pytest.mark.parametrize("build", [
-    lambda: EnumerationSpec(0, 5),
-    lambda: PairQuery(2, 3, Fraction(4), metric="torus"),
-    lambda: DyadicBlockQuery(2, 1, 0, 1, 1, Fraction(4)),
-    lambda: PhaseSpec(0.5, 1.0, 10.0, 1.0),
-    lambda: MeanValueSpec(power_phase(1), (1, 2), (3, 2), 8.0),
-    lambda: SieveProblem(2, 3, 2, m_offset=-1),
+@pytest.mark.parametrize("build, message", [
+    (lambda: EnumerationSpec(0, 5), "k must be >= 1"),
+    (lambda: PairQuery(2, 3, Fraction(4), metric="torus"), "metric must be"),
+    (lambda: DyadicBlockQuery(2, 1, 0, 1, 1, Fraction(4)), "all block parameters"),
+    (lambda: PhaseSpec(0.5, 1.0, 10.0, 1.0), "eta must exceed 1"),
+    (lambda: MeanValueSpec(power_phase(1), (1, 2), (3, 2), 8.0), "must be non-empty"),
+    (lambda: SieveProblem(2, 3, 2, m_offset=-1), "m_offset must be >= 0"),
+    (lambda: DyadicBlockQuery(2, 1, 1, 1, 1, Fraction(0)), "scale y must be positive"),
+    (lambda: coverage_profile(1, 2, Fraction(0)), "scale y must be positive"),
+    (lambda: window_count(1, 2, Fraction(1, 3), Fraction(-1)), "scale y must be positive"),
+    (lambda: PhaseSpec(0.5, 1.0, 0.0, 2.0), "scale must be positive"),
+    (lambda: vdc_transform_sum(PhaseSpec(0.5, 0.0, 10.0, 2.0)), "transform needs y > 0"),
+    (lambda: MeanValueSpec(power_phase(1), (1, 2), (1, 2), 0.0), "y_max must be positive"),
+    (lambda: SieveProblem(0, 3, 2), "k, n_max and m_len must all be >= 1"),
+    (lambda: SieveProblem(2, 0, 2), "k, n_max and m_len must all be >= 1"),
+    (lambda: SieveProblem(2, 3, 0), "k, n_max and m_len must all be >= 1"),
 ], ids=["EnumerationSpec", "PairQuery", "DyadicBlockQuery", "PhaseSpec", "MeanValueSpec",
-        "SieveProblem"])
-def test_inputs_are_checked_when_built(build):
-    """Each input type refuses one bad field in its constructor, before any consumer sees it."""
-    with pytest.raises(RangeError):
+        "SieveProblem", "DyadicBlockQuery-y", "coverage_profile-y", "window_count-y",
+        "PhaseSpec-n_scale", "vdc_transform_sum-y", "MeanValueSpec-y_max", "SieveProblem-k",
+        "SieveProblem-n_max", "SieveProblem-m_len"])
+def test_inputs_are_checked_when_built(build, message):
+    """Each input type refuses a bad field in its constructor, and each entry point a bad
+    argument of its own, before any consumer sees it."""
+    with pytest.raises(RangeError, match=message):
         build()
 
 

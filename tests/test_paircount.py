@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powfrac import paircount
+from powfrac import expsum, paircount
 from powfrac import (CoverageProfile, DyadicBlockQuery, EnumerationSpec, PairQuery, RangeError,
-                     ResourceError, circle_distance, count_pairs_block, count_pairs_bruteforce,
+                     ResourceError, count_pairs_block, count_pairs_bruteforce,
                      count_pairs_interval, coverage_profile, enumerate_tuples,
                      exceptional_measure, sharpness_study, tuple_count, window_count)
 from powfrac.fraccore import reduced_denominators
@@ -299,6 +299,30 @@ def test_block_strips_match_cross_multiplication(case):
     assert count_pairs_block(q, closed=closed) == expected
 
 
+def circle_distance(z: Fraction, x: Fraction) -> Fraction:
+    """Distance from z - x to the nearest integer; exact, in [0, 1/2]."""
+    d = (z - x) % 1
+    return min(d, 1 - d)
+
+
+def test_circle_distance_examples():
+    assert circle_distance(Fraction(1), Fraction(0)) == 0
+    assert circle_distance(Fraction(1, 2), Fraction(0)) == Fraction(1, 2)
+    assert circle_distance(Fraction(3, 4), Fraction(0)) == Fraction(1, 4)
+
+
+def test_circle_distance_symmetry_and_range():
+    rng = random.Random(42)
+    for _ in range(200):
+        z = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
+        x = Fraction(rng.randint(-50, 50), rng.randint(1, 40))
+        d = circle_distance(z, x)
+        assert d == circle_distance(x, z)
+        assert 0 <= d <= Fraction(1, 2)
+        # shifting either argument by an integer changes nothing
+        assert d == circle_distance(z + 3, x - 2)
+
+
 def _enumerated_window(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool) -> int:
     """The enumerating window count: every tuple's exact circle distance to x."""
     t = 1 / y
@@ -341,11 +365,12 @@ _EXTREME_Y = [Fraction(_BIG, _BIG + 1),         # 1/y > 1: every line pair count
 
 
 def _swept_count(vals: list, y: Fraction, metric: str) -> int:
+    """The near-pair count by expsum's two-pointer sweep, exact on Fractions."""
     t = 1 / y
     if metric == "circle" and t >= Fraction(1, 2):
         return len(vals) ** 2
-    line = paircount._pairs_within(vals, vals, -t, t)
-    return line if metric == "line" else line + 2 * paircount._pairs_within(vals, vals, -1, t - 1)
+    line = expsum._pairs_within(vals, vals, -t, t)
+    return line if metric == "line" else line + 2 * expsum._pairs_within(vals, vals, -1, t - 1)
 
 
 @pytest.mark.parametrize("k, n_max, coprime", [(2, 24, False), (3, 10, True), (1, 60, True)])
