@@ -7,26 +7,25 @@ the trigonometric call so that large arguments (f can exceed 1e6
 cycles) keep full precision.  Sums written over an interval (a, b) are
 over integers strictly inside; Kusmin-Landau sums include endpoints.
 
-Every direct sum, and the dual sum of the monomial transform, goes
-through one kernel, `_phase_sum` (stationary_phase_generic, which solves
-for a root per term, keeps its own loop).  The kernel takes the phases
-of at most SUM_CHUNK consecutive integers at a time as a numpy array and
-adds the chunk's terms in order with np.cumsum, so each sum is
-bit-identical to adding e(f(n)) term by term in a Python loop, with
-memory bounded by the chunk.  Everything else on that path is numpy and
-exact: the mod-1 reduction takes np.modf's fractional part, which equals
-fmod(x, 1) bit for bit (see _frac), and n and n / scale come from
-np.arange while |n| < 2^53.  libm's pow is the one call per term left in
-Python: numpy's float64 power differs from it in the last bit on a few
-percent of inputs, which would move reported sums.  A GenericPhase
-without an array form of f also calls f once per term.  The number of
-terms is known from the endpoints before any phase is evaluated, and a
-sum of more than MAX_SUM_TERMS terms is refused with ResourceError.
+One builder, _power_law, writes the power law c*(x/s)**p and its two
+derivatives, for the monomial phase and the kusmin phase alike.  Every
+exponential sum, the stationary-phase dual sum included, goes through one
+kernel, `_phase_sum`.  It takes the terms of at most SUM_CHUNK consecutive
+integers at a time as numpy arrays and adds them in order with np.cumsum,
+so each sum is bit-identical to adding w(n) * e(f(n)) term by term in a
+Python loop, with memory bounded by the chunk.  The mod-1 reduction takes
+np.modf's fractional part, which equals fmod(x, 1) bit for bit (see
+_frac), and n and n / scale come from np.arange while |n| < 2^53.  What
+stays in Python is one call per term: libm's pow (numpy's float64 power
+differs from it in the last bit on a few percent of inputs, which would
+move reported sums), f for a GenericPhase without an array form, and the
+root of f'(x) = m for the stationary-phase dual sum.  The number of terms
+is known from the endpoints before any phase is evaluated, and a sum of
+more than MAX_SUM_TERMS terms is refused with ResourceError.
 """
 
 from __future__ import annotations
 
-import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -52,32 +51,27 @@ MAX_SUM_TERMS = 10_000_000
 SUM_CHUNK = 1 << 13
 
 
-def e_of(x: float) -> complex:
-    """e(x) with argument reduction mod 1."""
-    return cmath.exp(2j * math.pi * math.fmod(x, 1.0))
+def _phase_sum(ns: range,
+               terms: Callable[[range], tuple[np.ndarray, Optional[np.ndarray]]]) -> complex:
+    """Sum of w(n) * e(f(n)) over ns in order.
 
-
-def _phase_sum(ns: range, phases: Callable[[range], np.ndarray],
-               weights: Optional[Callable[[range], np.ndarray]] = None) -> complex:
-    """Sum of w(n) * e(f(n)) over ns in order, w = 1 when weights is None.
-
-    phases (and weights) map a chunk of at most SUM_CHUNK consecutive
-    integers of ns to the float64 array of f(n) (and of w(n)).  The phases
-    are reduced mod 1 by _frac, np.fmod(x, 1.0) bit for bit at the cost of
-    np.modf.  The running total goes into slot 0 of the chunk's terms and
-    np.cumsum adds left to right, so the result is bit-identical to
-    `total += w(n) * e_of(f(n))` term by term; np.sum would add pairwise
-    and change the last bits.
+    terms maps a chunk of at most SUM_CHUNK consecutive integers of ns to the
+    float64 arrays of f(n) and of w(n), or None in place of the weights when
+    w = 1.  The phases are reduced mod 1 by _frac, np.fmod(x, 1.0) bit for
+    bit at the cost of np.modf.  The running total goes into slot 0 of the
+    chunk's terms and np.cumsum adds left to right, so the result is
+    bit-identical to `total += w(n) * cmath.exp(2j * math.pi * math.fmod(f(n), 1.0))`
+    term by term; np.sum would add pairwise and change the last bits.
     """
     total = 0j
     for start in range(0, len(ns), SUM_CHUNK):
-        chunk = ns[start:start + SUM_CHUNK]
-        terms = np.empty(len(chunk) + 1, dtype=complex)
-        terms[0] = total
-        terms[1:] = np.exp(2j * math.pi * _frac(phases(chunk)))
+        phases, weights = terms(ns[start:start + SUM_CHUNK])
+        out = np.empty(len(phases) + 1, dtype=complex)
+        out[0] = total
+        out[1:] = np.exp(2j * math.pi * _frac(phases))
         if weights is not None:
-            terms[1:] *= weights(chunk)
-        total = complex(np.cumsum(terms)[-1])
+            out[1:] *= weights
+        total = complex(np.cumsum(out)[-1])
     return total
 
 
@@ -94,7 +88,7 @@ def _frac(x: np.ndarray) -> np.ndarray:
     return np.subtract(frac, whole, out=frac)
 
 
-def _values(f: Callable[[float], float], ns: range) -> np.ndarray:
+def _values(f: Callable[[float], float], ns: Sequence) -> np.ndarray:
     """f(n) for each n in ns, called once per term, as a float64 array."""
     return np.fromiter(map(f, ns), dtype=float, count=len(ns))
 
@@ -138,10 +132,14 @@ def _finite(what: str, fn: Callable[..., float], *args: float) -> float:
     """fn(*args), refused with RangeError when it overflows the float range or divides by 0."""
     try:
         value = fn(*args)
-    except (OverflowError, ZeroDivisionError):
+    except OverflowError:
         value = math.inf
-    if not math.isfinite(value):
+    except ZeroDivisionError:
+        value = None
+    if value is None or not math.isfinite(value):
         at = ", ".join(f"{x:.17g}" for x in args)
+        if value is None:
+            raise RangeError(f"{what} divides by zero at ({at})")
         raise RangeError(f"{what}({at}) = {value} is past the float range")
     return value
 
@@ -182,15 +180,6 @@ class PhaseSpec:
             raise RangeError("beta undefined at alpha = 1")
         return self.alpha / (self.alpha - 1)
 
-    def f(self, x: float) -> float:
-        return (self.y / self.alpha) * (x / self.n_scale) ** self.alpha
-
-    def df(self, x: float) -> float:
-        return (self.y / self.n_scale) * (x / self.n_scale) ** (self.alpha - 1)
-
-    def d2f(self, x: float) -> float:
-        return (self.y * (self.alpha - 1) / self.n_scale**2) * (x / self.n_scale) ** (self.alpha - 2)
-
 
 def _monomial_range(p: PhaseSpec) -> range:
     """The summed integers.  RangeError when f at the far endpoint eta*n_scale is
@@ -198,7 +187,7 @@ def _monomial_range(p: PhaseSpec) -> range:
     it is infinite whenever the largest, f(n_scale) = y/alpha, is."""
     far = p.eta * p.n_scale
     ns = _interior_integers(p.n_scale, far, "direct sum")
-    _finite("f", p.f, far)
+    _finite("f", monomial_phase(p).f, far)
     return ns
 
 
@@ -256,10 +245,12 @@ def vdc_transform_sum(p: PhaseSpec) -> tuple[complex, float]:
     amp = math.sqrt(abs(beta - 1) * p.y)
     offset = 0.125 if p.alpha > 1 else -0.125
     scale = p.y / beta
-    total = _phase_sum(dual,
-                       lambda ms: offset - scale * _pow(_ratios(ms, m_scale), beta),
-                       lambda ms: _pow(_ratios(ms, m_scale), beta / 2) / _floats(ms))
-    return amp * total, budget
+
+    def terms(ms: range) -> tuple[np.ndarray, np.ndarray]:
+        u = _ratios(ms, m_scale)
+        return offset - scale * _pow(u, beta), _pow(u, beta / 2) / _floats(ms)
+
+    return amp * _phase_sum(dual, terms), budget
 
 
 @dataclass
@@ -277,34 +268,41 @@ class GenericPhase:
     b: float
     f_array: Optional[Callable[[range], np.ndarray]] = None
 
-    def phases(self, ns: range) -> np.ndarray:
-        """f(n) for each n in ns, by f_array when given, else one call of f per term."""
-        return self.f_array(ns) if self.f_array is not None else _values(self.f, ns)
+    def terms(self, ns: range) -> tuple[np.ndarray, None]:
+        """The terms of _phase_sum: f(n) for each n in ns, by f_array when given, else
+        one call of f per term, and unit weights."""
+        return (self.f_array(ns) if self.f_array is not None else _values(self.f, ns)), None
+
+
+def _power_law(coef: float, power: float, scale: float, a: float, b: float) -> GenericPhase:
+    """f(x) = coef * (x/scale)**power on [a, b], with f' and f''.
+
+    f_array is f with libm's pow on each n/scale, as Python's float ** float
+    computes it, so it equals f on each integer bit for bit.
+    """
+    return GenericPhase(
+        f=lambda x: coef * (x / scale) ** power,
+        df=lambda x: coef * power / scale * (x / scale) ** (power - 1),
+        d2f=lambda x: coef * power * (power - 1) / scale**2 * (x / scale) ** (power - 2),
+        a=a,
+        b=b,
+        f_array=lambda ns: coef * _pow(_ratios(ns, scale), power),
+    )
 
 
 def monomial_phase(p: PhaseSpec) -> GenericPhase:
-    """The monomial phase as a GenericPhase on [n_scale, eta*n_scale].
-
-    Its array form is (y/alpha) * pow(n/n_scale, alpha), one libm pow per term.
-    """
-    scale = p.y / p.alpha
-    return GenericPhase(
-        f=p.f,
-        df=p.df,
-        d2f=p.d2f,
-        a=p.n_scale,
-        b=p.eta * p.n_scale,
-        f_array=lambda ns: scale * _pow(_ratios(ns, p.n_scale), p.alpha),
-    )
+    """The monomial phase (y/alpha) * (x/n_scale)**alpha as a GenericPhase on
+    [n_scale, eta*n_scale]."""
+    return _power_law(p.y / p.alpha, p.alpha, p.n_scale, p.n_scale, p.eta * p.n_scale)
 
 
 def power_law_phase(coef: float, power: float, a: float, b: float) -> GenericPhase:
     """f(n) = coef * n**power on [a, b], the phase of the kusmin command.
 
     RangeError when an argument is not finite, or when [a, b] holds an integer
-    where n**power is not real or f' is undefined.  f_array is f with libm's pow
-    on each float(n): int ** float and math.pow both end in it here, and CPython
-    negates pow(|x|, power) as libm does for a negative base.
+    where n**power is not real or f' is undefined.  x / 1.0 is float(x) exactly,
+    so f is coef * x**power; int ** float and math.pow both end in libm's pow
+    here, and CPython negates pow(|x|, power) as libm does for a negative base.
     """
     for name, value in (("coef", coef), ("power", power), ("a", a), ("b", b)):
         if not math.isfinite(value):
@@ -315,14 +313,12 @@ def power_law_phase(coef: float, power: float, a: float, b: float) -> GenericPha
             raise RangeError(f"n^{power} is not real at the negative integers of [{a}, {b}]")
         if a <= 0 <= b and power < 1:
             raise RangeError(f"f'(n) = coef*{power}*n^{power - 1} is undefined at n = 0")
-    return GenericPhase(f=lambda x: coef * x**power, df=lambda x: coef * power * x ** (power - 1),
-                        d2f=lambda x: coef * power * (power - 1) * x ** (power - 2), a=a, b=b,
-                        f_array=lambda ns: coef * _pow(_floats(ns), power))
+    return _power_law(coef, power, 1.0, a, b)
 
 
 def direct_phase_sum(g: GenericPhase) -> complex:
     """Sum of e(f(n)) over integers strictly inside (a, b)."""
-    return _phase_sum(_interior_integers(g.a, g.b, "direct sum"), g.phases)
+    return _phase_sum(_interior_integers(g.a, g.b, "direct sum"), g.terms)
 
 
 def _solve_df_equals(g: GenericPhase, m: int) -> float:
@@ -384,14 +380,17 @@ def stationary_phase_generic(g: GenericPhase) -> tuple[complex, float]:
     min_d2 = min(abs(g.d2f(x)) for x in xs)
     spread = abs(fb - fa)
     budget = (1.0 / math.sqrt(min_d2) if min_d2 > 0 else math.inf) + math.log(spread + 2.0)
-    total = 0j
-    for m in _interior_integers(lo_val, hi_val, "dual sum"):
-        x_m = _solve_df_equals(g, m)
-        d2 = g.d2f(x_m)
-        offset = 0.125 if d2 > 0 else -0.125
-        phase = math.fmod(g.f(x_m), 1.0) - math.fmod(m * x_m, 1.0) + offset
-        total += e_of(phase) / math.sqrt(abs(d2))
-    return total, budget
+
+    def terms(ms: range) -> tuple[np.ndarray, np.ndarray]:
+        roots = [_solve_df_equals(g, m) for m in ms]
+        d2 = _values(g.d2f, roots)
+        # |m| < 2^53, so float(m) * x_m is the float product m * x_m
+        phases = (_frac(_values(g.f, roots)) - _frac(_floats(ms) * np.array(roots))
+                  + np.where(d2 > 0, 0.125, -0.125))
+        with np.errstate(divide="raise"):  # a root where f'' = 0 has no finite term
+            return phases, 1 / np.sqrt(np.abs(d2))
+
+    return _phase_sum(_interior_integers(lo_val, hi_val, "dual sum"), terms), budget
 
 
 @dataclass(frozen=True)
@@ -427,7 +426,7 @@ def kusmin_landau_check(g: GenericPhase, lam: float) -> KusminReport:
         # f' is monotone and below 2^53 where sampled, so f is finite inside if at both ends
         _finite("f", g.f, ns[0])
         _finite("f", g.f, ns[-1])
-    magnitude = abs(_phase_sum(ns, g.phases))
+    magnitude = abs(_phase_sum(ns, g.terms))
     bound = 1.0 / math.tan(math.pi * lam / 2)
     return KusminReport(magnitude=magnitude, bound=bound, passed=magnitude <= bound + 1e-9)
 

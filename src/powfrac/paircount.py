@@ -100,15 +100,6 @@ def _near(c1: int, c2: int, x0: int, x1: int, y0: int, y1: int, yp: int, yq: int
     return _strip(l // c1, l // c2, x0, x1, y0, y1, -reach, reach)
 
 
-def _corner(alpha: int, beta: int, m: int) -> int:
-    """#{x >= 0, y >= 1 : alpha*x + beta*y <= m} for alpha, beta >= 1, m >= 0.
-
-    Each y = 1..m // beta leaves the x = 0..(m - beta*y) // alpha.
-    """
-    n = m // beta
-    return n + _floor_sum(n, alpha, -beta, m - beta)
-
-
 def _pair_count(c1: int, c2: int, yp: int, yq: int, circle: bool) -> int:
     """#{1 <= v1 <= c1, 1 <= v2 <= c2 : |v1/c1 - v2/c2| <= yq/yp}, on the line or circle.
 
@@ -117,8 +108,8 @@ def _pair_count(c1: int, c2: int, yp: int, yq: int, circle: bool) -> int:
     times, as v1 and v2 run over complete residue systems and
     gcd(alpha, beta) = 1.  The circle counts D within R = floor(l*yq/yp) of
     0 mod l (R past l - 1 changes nothing).  The line drops |D| >= l - m,
-    m = min(R, l - R - 1); with x = c1 - v1, y = v2, D >= l - m reads
-    alpha*x + beta*y <= m, and D <= m - l the same with c1, c2 swapped.
+    m = min(R, l - R - 1): two triangles of the box, each one _strip, the
+    first l - m <= D <= l - 1 and the second 1 - l <= D <= m - l.
     """
     g = math.gcd(c1, c2)
     l = c1 // g * c2
@@ -127,11 +118,12 @@ def _pair_count(c1: int, c2: int, yp: int, yq: int, circle: bool) -> int:
     if not circle:
         alpha, beta = c2 // g, c1 // g
         m = min(reach, l - reach - 1)
-        # each triangle is empty below its edge: m >= beta needs c2 >= Y, m >= alpha c1 >= Y
+        # D <= l - beta and D >= alpha - l, so each triangle is empty unless m reaches
+        # beta (resp. alpha): m >= beta needs c2 >= Y, m >= alpha c1 >= Y
         if m >= beta:
-            count -= _corner(alpha, beta, m)
+            count -= _strip(alpha, beta, 1, c1, 1, c2, l - m, l - 1)
         if m >= alpha:
-            count -= _corner(beta, alpha, m)
+            count -= _strip(alpha, beta, 1, c1, 1, c2, 1 - l, m - l)
     return count
 
 
@@ -200,13 +192,16 @@ def count_pairs_block(q: DyadicBlockQuery, closed: bool = False) -> int:
 
     closed=True switches both ranges to the closed convention
     [U_i, 2U_i] x [N_i, 2N_i]; the half-open form is the default.  Each
-    strip counts the pairs of u ranges for one pair of bases, so the count is
-    capped in strips, (#bases1)*(#bases2), whatever the number of u.
+    strip counts the pairs of u ranges for one pair of bases, whatever the
+    number of u, and its floor sums walk through integers the size of n^k.
+    So the count is capped in strips, (#bases1)*(#bases2), times the 64-bit
+    words of the largest n^k, at most ceil(k*bit_length(2*max(N1, N2))/64).
     """
     extra = 1 if closed else 0
     bases1, bases2 = range(q.n1, 2 * q.n1 + extra), range(q.n2, 2 * q.n2 + extra)
-    check_work(lambda cap: len(bases1) * len(bases2), DEFAULT_MAX_POINTS,
-               "count_pairs_block strips")
+    words = -(-q.k * (2 * max(q.n1, q.n2)).bit_length() // 64)
+    check_work(lambda cap: len(bases1) * len(bases2) * words, DEFAULT_MAX_POINTS,
+               "count_pairs_block strips x 64-bit words")
     yp, yq = q.y.numerator, q.y.denominator
     return sum(_near(n1**q.k, n2**q.k, q.u1, 2 * q.u1 - 1 + extra, q.u2, 2 * q.u2 - 1 + extra, yp, yq)
                for n1 in bases1 for n2 in bases2)

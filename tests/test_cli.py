@@ -233,7 +233,7 @@ def test_kusmin_violated_hypothesis_exits_2(capsys):
       "--y-max", "2"], "float range"),
     # 2^-1100 underflows to 0.0, so u / n^k divides by 0
     (["meanvalue", "--k", "-1100", "--n-lo", "2", "--n-hi", "3", "--u-lo", "1", "--u-hi", "3",
-      "--y-max", "2"], "float range"),
+      "--y-max", "2"], "divides by zero at (2, 1)"),
 ])
 def test_non_finite_or_complex_phase_exits_2(capsys, argv, message):
     code, out, err = run_cli(capsys, argv)
@@ -603,21 +603,49 @@ def test_traced_names_exist():
     assert inspect.isgeneratorfunction(fraccore.enumerate_tuples)
 
 
+def _resolves(dotted: str) -> bool:
+    """Whether dotted, "powfrac" then module and attribute names, names a loaded object."""
+    target = powfrac
+    for name in dotted.split(".")[1:]:
+        if not hasattr(target, name):
+            return False
+        target = getattr(target, name)
+    return True
+
+
 def test_benchmark_imports_exist():
-    """Every powfrac name that a file in bench/ imports still exists; the files are
-    parsed, not run."""
+    """Every powfrac name that a file in bench/ imports still exists, and so does every
+    attribute that a bench/ file outside test_*.py reads on a powfrac module, and every
+    expsum entry point a query names with call=, which worker._library_call resolves
+    with getattr; the files are parsed, not run."""
     bench = Path(__file__).parents[1] / "bench"
-    imported = []
+    referenced = []
     for path in sorted(bench.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+        tree = ast.parse(path.read_text())
+        modules = {}  # local name -> the dotted powfrac name it is bound to
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "powfrac":
-                imported += [(node.module, alias.name) for alias in node.names]
-    if not imported:
-        pytest.skip("bench/ imports nothing from powfrac")
-    missing = [(module, name) for module, name in imported
-               if not hasattr(importlib.import_module(module), name)
-               and importlib.util.find_spec(f"{module}.{name}") is None]
-    assert missing == []
+                for alias in node.names:
+                    referenced.append(f"{node.module}.{alias.name}")
+                    modules[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    # `import powfrac.cli` binds powfrac; `import powfrac.cli as cli` binds cli
+                    if alias.name.split(".")[0] == "powfrac":
+                        local = alias.asname or "powfrac"
+                        modules[local] = alias.name if alias.asname else "powfrac"
+        if path.name.startswith("test_"):
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.keyword) and node.arg == "call" \
+                    and isinstance(node.value, ast.Constant):
+                referenced.append(f"powfrac.expsum.{node.value.value}")
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                referenced.append(f"{modules[node.value.id]}.{node.attr}")
+    if not referenced:
+        pytest.skip("bench/ refers to nothing in powfrac")
+    assert [dotted for dotted in referenced if not _resolves(dotted)] == []
 
 
 def test_public_names_are_exported():

@@ -142,7 +142,7 @@ def phase_specs(draw):
 @given(phase_specs())
 def test_monomial_sums_equal_the_per_term_loop(p):
     ns = range(math.floor(p.n_scale) + 1, math.ceil(p.eta * p.n_scale))
-    assert direct_monomial_sum(p) == _loop_phase_sum(p.f, ns)
+    assert direct_monomial_sum(p) == _loop_phase_sum(monomial_phase(p).f, ns)
     if p.y > 0 and not (p.alpha >= 1 and p.alpha == int(p.alpha)):
         value, _ = vdc_transform_sum(p)
         assert value == _loop_dual_sum(p)
@@ -251,8 +251,11 @@ def test_transform_degenerate_dual_range():
 
 
 def test_generic_stationary_phase_matches_closed_form():
-    for alpha, y, n_scale in ((-1.0, 400.0, 10.0), (1.5, 1e4, 100.0), (2.5, 1e3, 50.0)):
-        p = PhaseSpec(alpha, y, n_scale, 2.0)
+    # the last dual range, 269 < m < 8500, runs past one SUM_CHUNK of terms
+    assert dual_term_count(PhaseSpec(-0.5, 8500.0, 1.0, 10.0)) > SUM_CHUNK
+    for alpha, y, n_scale, eta in ((-1.0, 400.0, 10.0, 2.0), (1.5, 1e4, 100.0, 2.0),
+                                   (2.5, 1e3, 50.0, 2.0), (-0.5, 8500.0, 1.0, 10.0)):
+        p = PhaseSpec(alpha, y, n_scale, eta)
         closed, closed_budget = vdc_transform_sum(p)
         generic, _ = stationary_phase_generic(monomial_phase(p))
         assert abs(closed - generic) <= 1e-9 * max(1.0, abs(closed))
@@ -412,6 +415,12 @@ def test_mean_value_spec_rejects_non_finite_y_max():
     for y_max in (math.nan, math.inf):
         with pytest.raises(RangeError, match="finite"):
             mean_value_integral(MeanValueSpec(power_phase(1), (1, 2), (1, 2), y_max))
+
+
+def test_mean_value_names_a_phase_that_divides_by_zero():
+    # u / n^k at n = 0 divides by zero; it is not past the float range
+    with pytest.raises(RangeError, match=r"^phi divides by zero at \(0, 1\)$"):
+        mean_value_integral(MeanValueSpec(power_phase(1), (0, 2), (1, 2), 2.0))
 
 
 def test_mean_value_single_phase_at_largest_y_max():

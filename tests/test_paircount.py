@@ -397,8 +397,8 @@ def test_lattice_counts_never_enumerate(monkeypatch):
     expected = [count_pairs_bruteforce(q) for q in few_tuples]
     monkeypatch.setattr(paircount, "fraction_table", refuse)
     assert count_pairs_block(DyadicBlockQuery(2, 100, 8, 120, 9, Fraction(10**5))) > 0
-    # near-pair and window counts are closed forms over complete residue
-    # systems: no lattice strip either
+    # near-pair counts with Y past every denominator, and window counts, are
+    # closed forms over complete residue systems: no lattice strip either
     monkeypatch.setattr(paircount, "_near", refuse)
     monkeypatch.setattr(paircount, "_strip", refuse)
     for coprime in (False, True):
@@ -424,3 +424,20 @@ def test_block_cap_counts_strips(monkeypatch):
     # 10^4 tuples a side, but 10^8 pairs of bases, past the default cap
     with pytest.raises(ResourceError, match="strips"):
         count_pairs_block(DyadicBlockQuery(1, 1, 10**4, 1, 10**4, Fraction(15000 * 15001)))
+
+
+def test_block_cap_counts_words_of_n_to_the_k(monkeypatch):
+    """A strip's floor sums walk through integers the size of n^k, so the cap counts
+    strips times the 64-bit words of the largest n^k."""
+    monkeypatch.delenv("POWFRAC_MAX_POINTS", raising=False)
+    monkeypatch.setattr(paircount, "_near", lambda *a: pytest.fail("ran a strip"))
+    # 316^2, about 10^5 strips, each through the 32 words of n^200 < 632^200
+    with pytest.raises(ResourceError, match="strips"):
+        count_pairs_block(DyadicBlockQuery(200, 1, 316, 1, 316, Fraction(1)))
+    # n^k < 100^3 fills one word at k <= 3: the cap counts strips alone there
+    monkeypatch.setenv("POWFRAC_MAX_POINTS", "2500")
+    monkeypatch.setattr(paircount, "_near", lambda *a: 1)
+    for k in (1, 2, 3):
+        assert count_pairs_block(DyadicBlockQuery(k, 1, 50, 1, 50, Fraction(1))) == 2500
+        with pytest.raises(ResourceError, match="strips"):
+            count_pairs_block(DyadicBlockQuery(k, 1, 51, 1, 50, Fraction(1)))
