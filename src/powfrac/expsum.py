@@ -322,17 +322,21 @@ def direct_phase_sum(g: GenericPhase) -> complex:
 
 
 def _solve_df_equals(g: GenericPhase, m: int) -> float:
-    """Root of f'(x) = m on [a, b] by bisection plus Newton polish, to |f'(x) - m| <= 1e-12.
+    """Root of f'(x) = m on [a, b] by bisection plus Newton polish, to
+    |f'(x) - m| <= 1e-12 * max(1, |m| / 2^12).
 
+    The tolerance grows with m because the float spacing of f' near m does:
+    it is 1.8e-12 from |m| = 2^13, where a fixed 1e-12 is out of reach.
     m lies strictly between f'(a) and f'(b) (stationary_phase_generic passes no other), so
     f' - m never has one sign at both ends.
     """
     lo, hi = g.a, g.b
     s_lo = g.df(lo) - m
+    tol = 1e-12 * max(1.0, abs(m) / 2**12)
     x = 0.5 * (lo + hi)
     for _ in range(200):
         v = g.df(x) - m
-        if abs(v) <= 1e-12:
+        if abs(v) <= tol:
             break
         if (v > 0) == (s_lo > 0):
             lo = x
@@ -359,7 +363,8 @@ def stationary_phase_generic(g: GenericPhase) -> tuple[complex, float]:
     of f''.  Returns (value, budget) with budget
     1/sqrt(min |f''|) + log(|f'(b) - f'(a)| + 2), f' and f'' sampled at 33
     equally spaced points of [a, b].  |f'| >= 2^53 at an end is refused with
-    RangeError: there a float f' - m can round to 0 away from the root.
+    RangeError: there a float f' - m can round to 0 away from the root.  So is
+    a root where f'' is exactly 0, whose weight would be infinite.
     """
     fa = g.df(g.a)
     fb = g.df(g.b)
@@ -384,11 +389,14 @@ def stationary_phase_generic(g: GenericPhase) -> tuple[complex, float]:
     def terms(ms: range) -> tuple[np.ndarray, np.ndarray]:
         roots = [_solve_df_equals(g, m) for m in ms]
         d2 = _values(g.d2f, roots)
+        if not d2.all():
+            i = int(np.flatnonzero(d2 == 0)[0])
+            raise RangeError(f"f''(x_m) = 0 at the stationary point x_m = {roots[i]!r} "
+                             f"of m = {ms[i]}: its weight |f''|^(-1/2) is infinite")
         # |m| < 2^53, so float(m) * x_m is the float product m * x_m
         phases = (_frac(_values(g.f, roots)) - _frac(_floats(ms) * np.array(roots))
                   + np.where(d2 > 0, 0.125, -0.125))
-        with np.errstate(divide="raise"):  # a root where f'' = 0 has no finite term
-            return phases, 1 / np.sqrt(np.abs(d2))
+        return phases, 1 / np.sqrt(np.abs(d2))
 
     return _phase_sum(_interior_integers(lo_val, hi_val, "dual sum"), terms), budget
 

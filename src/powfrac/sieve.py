@@ -14,7 +14,10 @@ otherwise the Toeplitz Gram matrix, whose column is a sum over
 fraccore.reduced_denominators, under i -> m_len-1 - i.  Each call counts the
 rows once, in row_count, which also applies the cap.  Phases are reduced in
 exact integers before any float enters, (a*m) mod n^k for B and M*theta mod 2
-for the kernel, so large window offsets lose no accuracy.
+for the kernel, so large window offsets lose no accuracy.  B takes its
+entries from one table of the n^k-th roots of unity per modulus, at most
+n_max^k entries and one table at a time, indexed by those residues; moduli
+n^k >= 2^31, past the exact int64 products, are refused before any table.
 """
 
 from __future__ import annotations
@@ -69,7 +72,12 @@ def sieve_matrix(p: SieveProblem) -> np.ndarray:
 
     Each modulus reduces its window mod n^k first (the offset as a Python
     int), so a*m stays below n^(2k) and the int64 product is exact while
-    n^k < 2^31; larger moduli are refused.
+    n^k < 2^31; larger moduli are refused before any row or table is built.
+    The entries of modulus q = n^k take only the q values e(r/q), so each
+    modulus builds one table of them, the same float expression as one
+    entry applied to r = 0..q-1, and its rows index it by the exact residues
+    (a*m) mod q: B equals the entrywise exp bit for bit.  One table, of at
+    most n_max^k entries, is alive at a time.
     """
     row_count(p)
     if p.n_max**p.k >= _MAX_INT64_MODULUS:
@@ -81,7 +89,8 @@ def sieve_matrix(p: SieveProblem) -> np.ndarray:
     for n in range(1, p.n_max + 1):
         nk, rows = n**p.k, slice(starts[n - 1], starts[n])
         m = (p.m_offset % nk + window) % nk
-        out[rows] = np.exp(2j * np.pi * ((a[rows, None] * m) % nk) / nk)
+        roots = np.exp(2j * np.pi * np.arange(nk, dtype=np.int64) / nk)
+        out[rows] = roots[(a[rows, None] * m) % nk]
     return out
 
 

@@ -271,6 +271,35 @@ def test_generic_stationary_phase_quadratic():
     assert abs(direct_phase_sum(phase) - value) <= 10 * budget
 
 
+def test_generic_stationary_phase_root_stop_scales_with_m():
+    # At 4x the stationary query's scale, m runs from 18 839 to 27 101, where
+    # the float spacing of f' is 3.6e-12: a stop fixed at 1e-12 is out of
+    # reach there, and each root runs on to the bracket test (32 f' calls).
+    p = PhaseSpec(1.5, 4 * 4.6e6, 976.72, 2.0696)
+    phase = monomial_phase(p)
+    calls = 0
+
+    def df(x):
+        nonlocal calls
+        calls += 1
+        return phase.df(x)
+
+    counted = GenericPhase(f=phase.f, df=df, d2f=phase.d2f, a=phase.a, b=phase.b)
+    generic, _ = stationary_phase_generic(counted)
+    assert calls <= 8 * dual_term_count(p)
+    closed, _ = vdc_transform_sum(p)
+    assert abs(generic - closed) <= 1e-7 * abs(closed)
+
+
+def test_stationary_phase_refuses_degenerate_stationary_point():
+    # f = x^4/4 on [-1, 1]: the only dual term, m = 0, is stationary at x = 0,
+    # where f'' = 0 and the weight |f''|^(-1/2) is infinite
+    phase = GenericPhase(f=lambda x: x**4 / 4, df=lambda x: x**3, d2f=lambda x: 3 * x * x,
+                         a=-1.0, b=1.0)
+    with pytest.raises(RangeError, match=r"x_m = 0\.0 of m = 0"):
+        stationary_phase_generic(phase)
+
+
 def test_root_bracket_error_on_nonmonotone_derivative():
     # f' = 2.5 - (x-2)^2 rises then falls on [1,3]; f'(1) = f'(3) infers
     # "increasing", which the fall contradicts, so root bracketing is refused.

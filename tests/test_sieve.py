@@ -431,6 +431,10 @@ def test_sieve_matrix_first_row_constant():
 @pytest.mark.parametrize("k, n_max, m_len, m_offset", [
     (1, 5, 7, 0), (1, 30, 40, 10**12 + 3), (2, 4, 6, 10**30), (2, 10, 20, 10**30 + 7),
     (3, 3, 5, 17), (4, 3, 3, 999),
+    # a table of n^k roots larger than its block of rows, at m_len = 1
+    (2, 10, 1, 5), (3, 6, 1, 2**64 + 1),
+    # k = 2 up to the modulus 60^2 = 3600, and offsets past 2^64
+    (2, 60, 2, 10**6 + 3), (1, 12, 9, 2**64), (2, 7, 11, 2**64 + 12345),
 ])
 def test_sieve_matrix_matches_exact_integer_reference(k, n_max, m_len, m_offset):
     # Reference: each phase reduced as a Python int, one row at a time.
@@ -448,5 +452,10 @@ def test_sieve_matrix_matches_exact_integer_reference(k, n_max, m_len, m_offset)
 def test_sieve_matrix_refuses_modulus_past_int64_products(monkeypatch):
     # 2^31 rows of modulus 2^31: a * m could overflow int64, so refuse before building
     monkeypatch.setenv("POWFRAC_MAX_POINTS", str(10**10))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("a table of roots of unity was built before the refusal")
+
+    monkeypatch.setattr(sieve.np, "exp", no_table)
     with pytest.raises(ResourceError):
         sieve_matrix(SieveProblem(k=31, n_max=2, m_len=1))
