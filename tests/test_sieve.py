@@ -450,7 +450,7 @@ def test_sieve_matrix_matches_exact_integer_reference(k, n_max, m_len, m_offset)
 
 
 def test_sieve_matrix_refuses_modulus_past_int64_products(monkeypatch):
-    # 2^31 rows of modulus 2^31: a * m could overflow int64, so refuse before building
+    # 2^30 rows of modulus 2^31: a * m could overflow int64, so refuse before building
     monkeypatch.setenv("POWFRAC_MAX_POINTS", str(10**10))
 
     def no_table(*args, **kwargs):
