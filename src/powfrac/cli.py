@@ -3,30 +3,33 @@ machine-readable JSON/CSV reports.
 
 Rationals are accepted only as "p/q" strings (never floats), so
 thresholds survive parsing exactly.  Reports carry a top-level
-"schema": 1 field and are byte-stable for a fixed config and seed,
-except for the elapsed_ms timing field.  Exit codes: 0 success,
-2 argument validation, 3 resource-cap refusal, 1 internal error.
+"schema": 1 field, are strict JSON (no NaN or Infinity), and are
+byte-stable for a fixed config and seed, except for the elapsed_ms
+timing field.  Exit codes follow the error's type alone: 0 success,
+3 ResourceError (a resource-cap refusal), 2 any other PowfracError or
+an argument argparse refuses, 1 anything else (an internal error).
 
 The CLI only parses and reports: each cmd_* calls public library names and
-returns (fields, summary, csv_lines or None), and main() writes the report.
+returns (fields, summary, table rows or None), and main() writes the report,
+or with --format csv its table rows by the one CSV rule of _csv.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import islice
 
 import numpy as np
 
 from . import expsum, paircount, sieve
-from .errors import DimensionError, RangeError, ResourceError
+from .errors import PowfracError, RangeError, ResourceError
 from .fraccore import (EnumerationSpec, check_tuples, enumerate_tuples, format_rational,
                        parse_rational)
 
@@ -63,12 +66,20 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part.strip()]
 
 
-def _emit(args, report: dict, csv_lines: list[str] | None) -> None:
-    """Write the report (JSON by default, CSV when selected) and its summary line."""
-    if csv_lines is not None and args.format == "csv":
-        text = "\n".join(csv_lines) + "\n"
+def _csv(rows: list[dict]) -> str:
+    """The one CSV rule: the first row's keys as the header, then each value by repr,
+    None as an empty field."""
+    lines = [",".join(rows[0])]
+    lines += [",".join("" if v is None else repr(v) for v in row.values()) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _emit(args, report: dict, rows: list[dict] | None) -> None:
+    """Write the report (JSON by default, CSV of its rows when selected) and its summary."""
+    if rows is not None and args.format == "csv":
+        text = _csv(rows)
     else:
-        text = json.dumps(report, sort_keys=True) + "\n"
+        text = json.dumps(report, sort_keys=True, allow_nan=False) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -82,9 +93,8 @@ def _emit(args, report: dict, csv_lines: list[str] | None) -> None:
 def cmd_enumerate(args):
     spec = EnumerationSpec(args.k, args.n_max, args.coprime, args.sorted)
     count = check_tuples(spec, "enumerate")
-    shown = list(islice(enumerate_tuples(spec), args.limit))
-    fields = {"k": args.k, "n_max": args.n_max, "coprime": args.coprime, "sorted": args.sorted,
-              "count": count, "truncated": len(shown) < count,
+    shown = list(islice(enumerate_tuples(spec), min(args.limit, count)))
+    fields = {**asdict(spec), "count": count, "truncated": len(shown) < count,
               "tuples": [{"u": f.u, "n": f.n, "k": f.k} for f in shown]}
     return fields, f"enumerate: {count} tuples (k={args.k}, n_max={args.n_max})", None
 
@@ -95,17 +105,16 @@ def cmd_pairs(args):
         count = paircount.count_pairs_bruteforce(q)
     else:
         count = paircount.count_pairs_interval(q)
-    y = format_rational(args.y)
-    fields = {"query": {"k": args.k, "n_max": args.n_max, "y": y, "coprime": args.coprime,
-                        "metric": args.metric}, "count": count, "method": args.method}
+    y = format_rational(q.y)
+    fields = {"query": {**asdict(q), "y": y}, "count": count, "method": args.method}
     return fields, f"pairs: count={count} (k={args.k}, n_max={args.n_max}, y={y})", None
 
 
 def cmd_blocks(args):
     q = paircount.DyadicBlockQuery(args.k, args.u1, args.n1, args.u2, args.n2, args.y)
     count = paircount.count_pairs_block(q, closed=args.closed)
-    fields = {"query": {"k": args.k, "u1": args.u1, "n1": args.n1, "u2": args.u2, "n2": args.n2,
-                        "y": format_rational(args.y)}, "closed": args.closed, "count": count}
+    fields = {"query": {**asdict(q), "y": format_rational(q.y)}, "closed": args.closed,
+              "count": count}
     return fields, f"blocks: count={count}", None
 
 
@@ -120,10 +129,10 @@ def cmd_measure(args):
     profile = paircount.coverage_profile(args.k, args.n_max, args.y, coprime=not args.no_coprime)
     measure = paircount.exceptional_measure(profile, args.threshold)
     if args.profile_csv:
+        rows = [{"breakpoint_p": b.numerator, "breakpoint_q": b.denominator, "depth": depth}
+                for b, depth in zip(profile.breakpoints, profile.depths)]
         with open(args.profile_csv, "w") as fh:
-            fh.write("breakpoint_p,breakpoint_q,depth\n")
-            for b, depth in zip(profile.breakpoints, profile.depths):
-                fh.write(f"{b.numerator},{b.denominator},{depth}\n")
+            fh.write(_csv(rows))
     fields = {"k": args.k, "n_max": args.n_max, "y": format_rational(args.y),
               "coprime": not args.no_coprime, "threshold": args.threshold,
               "point_count": profile.point_count, "radius": format_rational(profile.radius),
@@ -132,40 +141,34 @@ def cmd_measure(args):
     return fields, f"measure: {format_rational(measure)} at threshold {args.threshold}", None
 
 
-def _phase_spec(args) -> tuple[expsum.PhaseSpec, dict]:
-    """The monomial phase and its report fields."""
-    spec = expsum.PhaseSpec(args.alpha, args.y, args.n_scale, args.eta)
-    return spec, {"alpha": args.alpha, "y": args.y, "n_scale": args.n_scale, "eta": args.eta}
-
-
 def cmd_expsum_direct(args):
-    spec, fields = _phase_spec(args)
+    spec = expsum.PhaseSpec(args.alpha, args.y, args.n_scale, args.eta)
     value = expsum.direct_monomial_sum(spec)
     terms = expsum.monomial_term_count(spec)
-    fields.update(value_re=value.real, value_im=value.imag, magnitude=abs(value), terms=terms)
+    fields = {**asdict(spec), "value_re": value.real, "value_im": value.imag,
+              "magnitude": abs(value), "terms": terms}
     return fields, f"expsum-direct: |sum|={abs(value):.6g} over {terms} terms", None
 
 
 def cmd_expsum_vdc(args):
-    spec, fields = _phase_spec(args)
+    spec = expsum.PhaseSpec(args.alpha, args.y, args.n_scale, args.eta)
     # Both term counts are checked before either sum evaluates a phase.
     expsum.monomial_term_count(spec)
     expsum.dual_term_count(spec)
     direct = expsum.direct_monomial_sum(spec)
     value, budget = expsum.vdc_transform_sum(spec)
     abs_err = abs(direct - value)
-    fields.update(direct_re=direct.real, direct_im=direct.imag, transform_re=value.real,
-                  transform_im=value.imag, abs_err=abs_err, budget=budget,
-                  ratio=abs_err / budget if budget > 0 else math.inf)
-    csv_lines = [",".join(fields), ",".join(repr(v) for v in fields.values())]
-    return fields, f"expsum-vdc: abs_err={abs_err:.6g} budget={budget:.6g}", csv_lines
+    fields = {**asdict(spec), "direct_re": direct.real, "direct_im": direct.imag,
+              "transform_re": value.real, "transform_im": value.imag, "abs_err": abs_err,
+              "budget": budget, "ratio": abs_err / budget if budget > 0 else None}
+    return fields, f"expsum-vdc: abs_err={abs_err:.6g} budget={budget:.6g}", [fields]
 
 
 def cmd_kusmin(args):
     phase = expsum.power_law_phase(args.coef, args.power, args.a, args.b)
     report = expsum.kusmin_landau_check(phase, args.lam)
     fields = {"coef": args.coef, "power": args.power, "a": args.a, "b": args.b, "lam": args.lam,
-              "magnitude": report.magnitude, "bound": report.bound, "passed": report.passed}
+              **asdict(report)}
     summary = (f"kusmin: |sum|={report.magnitude:.6g} bound={report.bound:.6g} "
                f"passed={report.passed}")
     return fields, summary, None
@@ -183,21 +186,19 @@ def cmd_meanvalue(args):
     return fields, f"meanvalue: value={value:.6g} pair_count={pairs}", None
 
 
-def _sieve_problem(args) -> tuple[sieve.SieveProblem, int, dict]:
-    """The problem, its row count and its report fields; refuses past the cap first."""
+def _sieve_problem(args) -> tuple[sieve.SieveProblem, int]:
+    """The problem and its row count; refuses past the cap first."""
     problem = sieve.SieveProblem(args.k, args.n_max, args.m_len, args.m_offset)
-    p_rows = sieve.row_count(problem)
-    fields = {"k": args.k, "n_max": args.n_max, "m_len": args.m_len, "m_offset": args.m_offset}
-    return problem, p_rows, fields
+    return problem, sieve.row_count(problem)
 
 
 def cmd_sieve_delta(args):
-    problem, p_rows, fields = _sieve_problem(args)
+    problem, p_rows = _sieve_problem(args)
     if args.method == "dense":
         delta = sieve.dense_gram_eigenvalue(problem)
     else:
         delta = sieve.sieve_gram_eigenvalue(problem)
-    fields.update(method=args.method, p_rows=p_rows, delta=delta)
+    fields = {**asdict(problem), "method": args.method, "p_rows": p_rows, "delta": delta}
     return fields, f"sieve-delta: delta={delta:.8g} (P={p_rows}, M={args.m_len})", None
 
 
@@ -207,7 +208,7 @@ def _make_alpha(args) -> np.ndarray:
         return np.ones(m_len, dtype=complex)
     if args.alpha_mode == "basis":
         if not 0 <= args.basis_index < m_len:
-            raise ValueError(f"basis index {args.basis_index} outside [0, {m_len})")
+            raise RangeError(f"basis index {args.basis_index} outside [0, {m_len})")
         v = np.zeros(m_len, dtype=complex)
         v[args.basis_index] = 1.0
         return v
@@ -217,18 +218,18 @@ def _make_alpha(args) -> np.ndarray:
 
 
 def cmd_sieve_l1(args):
-    problem, p_rows, fields = _sieve_problem(args)
+    problem, p_rows = _sieve_problem(args)
     alpha = _make_alpha(args)
     value = sieve.l1_sieve_sum(problem, alpha)
     delta = sieve.sieve_gram_eigenvalue(problem)
     cs_bound = math.sqrt(p_rows * delta) * float(np.linalg.norm(alpha))
-    fields.update(alpha_mode=args.alpha_mode, seed=args.seed, value=value, cs_bound=cs_bound,
-                  within_cs=value <= cs_bound * (1 + 1e-9))
+    fields = {**asdict(problem), "alpha_mode": args.alpha_mode, "seed": args.seed,
+              "value": value, "cs_bound": cs_bound, "within_cs": value <= cs_bound * (1 + 1e-9)}
     return fields, f"sieve-l1: value={value:.6g} <= {cs_bound:.6g}", None
 
 
 def cmd_sieve_dual(args):
-    problem, p_rows, fields = _sieve_problem(args)
+    problem, p_rows = _sieve_problem(args)
     if args.coeff_mode == "ones":
         coeffs = np.ones(p_rows, dtype=complex)
     else:
@@ -238,27 +239,24 @@ def cmd_sieve_dual(args):
     delta = sieve.sieve_gram_eigenvalue(problem)
     norm_sq = float(np.sum(np.abs(coeffs) ** 2))
     bound = delta * norm_sq
-    fields.update(coeff_mode=args.coeff_mode, seed=args.seed, value=value, coeff_norm_sq=norm_sq,
-                  delta_bound=bound, within_bound=value <= bound * (1 + 1e-9))
+    fields = {**asdict(problem), "coeff_mode": args.coeff_mode, "seed": args.seed,
+              "value": value, "coeff_norm_sq": norm_sq, "delta_bound": bound,
+              "within_bound": value <= bound * (1 + 1e-9)}
     return fields, f"sieve-dual: value={value:.6g} <= {bound:.6g}", None
 
 
 def cmd_bounds(args):
     report = sieve.classical_bounds(args.k, args.n, args.m)
-    fields = {"k": args.k, "n": args.n, "m": args.m, **dataclasses.asdict(report)}
+    fields = {"k": args.k, "n": args.n, "m": args.m, **asdict(report)}
     summary = (f"bounds: classical_1={report.classical_1} classical_2={report.classical_2} "
                f"conjecture={report.conjecture} cor2_rhs={report.cor2_rhs}")
-    return fields, summary, [",".join(fields), ",".join(str(v) for v in fields.values())]
+    return fields, summary, [fields]
 
 
 def cmd_sharpness_study(args):
     rows = paircount.sharpness_study(args.k, args.n_list, coprime=args.coprime)
-    csv_lines = ["n,count,ratio,log_slope"] + [
-        f"{r['n']},{r['count']},{r['ratio']!r},{'' if r['log_slope'] is None else repr(r['log_slope'])}"
-        for r in rows
-    ]
     summary = f"sharpness-study: {len(rows)} rows, last ratio {rows[-1]['ratio']:.6g}"
-    return {"k": args.k, "rows": rows}, summary, csv_lines
+    return {"k": args.k, "rows": rows}, summary, rows
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,14 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     arg("--alpha-mode", choices=("random", "ones", "basis"), default="random",
         help="coefficient vector: seeded random unit, all ones, or a basis vector")
     arg("--basis-index", type=int, default=0, help="index for --alpha-mode basis (default 0)")
-    arg("--seed", type=int, default=42, help="random seed (default 42)")
+    arg("--seed", type=_int_at_least(0), default=42, help="random seed >= 0 (default 42)")
 
     arg = command("sieve-dual", cmd_sieve_dual, "dual quadratic form over the window", sieve_k,
                   n_max=True)
     sieve_window(arg)
     arg("--coeff-mode", choices=("ones", "random-unimodular"), default="ones",
         help="row coefficients: all ones or seeded unimodular draws")
-    arg("--seed", type=int, default=42, help="random seed (default 42)")
+    arg("--seed", type=_int_at_least(0), default=42, help="random seed >= 0 (default 42)")
 
     arg = command("bounds", cmd_bounds, "baseline sieve bound table", sieve_k, tabular=True)
     arg("--n", type=int, required=True, help="maximum base n")
@@ -392,17 +390,17 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         start = time.perf_counter()
-        fields, summary, csv_lines = args.func(args)
+        fields, summary, rows = args.func(args)
         report = {"schema": SCHEMA, "command": args.command, **fields,
                   "elapsed_ms": 1000 * (time.perf_counter() - start), "summary": summary}
-        _emit(args, report, csv_lines)
+        _emit(args, report, rows)
         return 0
-    except (RangeError, DimensionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return 3
+    except PowfracError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 1

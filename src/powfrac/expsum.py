@@ -414,13 +414,16 @@ def kusmin_landau_check(g: GenericPhase, lam: float) -> KusminReport:
     The hypothesis (f' monotone, circle distance of f' to the integers
     at least lam) is the caller's to assert; f' is spot-checked at every
     n, or every (len // 2000)-th n on ranges of 4000 integers or more, and
-    a RangeError is raised on violation, or when f' at a sample, or f at
-    either end, is past the float range.  A range of more than
+    a RangeError is raised on violation, or when the bound, f' at a sample,
+    or f at either end, is past the float range.  A range of more than
     MAX_SUM_TERMS integers is refused with ResourceError before f' or f
     is called.
     """
     if not 0 < lam < 1:
         raise RangeError(f"lam must lie in (0, 1), got {lam}")
+    bound = 1.0 / math.tan(math.pi * lam / 2)
+    if math.isinf(bound):
+        raise RangeError(f"the bound cot(pi*lam/2) is past the float range at lam = {lam}")
     if not (math.isfinite(g.a) and math.isfinite(g.b)):
         raise RangeError(f"endpoints must be finite, got [{g.a}, {g.b}]")
     ns = _interior_integers(math.ceil(g.a) - 1, math.floor(g.b) + 1, "Kusmin-Landau sum")
@@ -435,7 +438,6 @@ def kusmin_landau_check(g: GenericPhase, lam: float) -> KusminReport:
         _finite("f", g.f, ns[0])
         _finite("f", g.f, ns[-1])
     magnitude = abs(_phase_sum(ns, g.terms))
-    bound = 1.0 / math.tan(math.pi * lam / 2)
     return KusminReport(magnitude=magnitude, bound=bound, passed=magnitude <= bound + 1e-9)
 
 

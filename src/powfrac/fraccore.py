@@ -152,10 +152,13 @@ def tuple_count(k: int, n_max: int, coprime: bool = False, cap: float = math.inf
 
 
 def check_work(count_upto: Callable[[int], int], default: int, what: str) -> int:
-    """The predicted work, refused with ResourceError past the cap: the integer in
-    POWFRAC_MAX_POINTS, else the caller's default.  count_upto(cap) returns the exact
-    work when it is at most cap, else any amount past cap: counting may stop there."""
-    env = os.environ.get("POWFRAC_MAX_POINTS")
+    """The predicted work, refused with ResourceError past the cap: the non-negative
+    integer in POWFRAC_MAX_POINTS (RangeError when it holds anything else), else the
+    caller's default.  count_upto(cap) returns the exact work when it is at most cap,
+    else any amount past cap: counting may stop there."""
+    env = os.environ.get("POWFRAC_MAX_POINTS", "").strip()
+    if env and not env.isdecimal():
+        raise RangeError(f"POWFRAC_MAX_POINTS must be a non-negative integer, got {env!r}")
     cap = int(env) if env else default
     work = count_upto(cap)
     if work > cap:

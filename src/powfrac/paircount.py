@@ -313,18 +313,22 @@ def sharpness_study(k: int, n_values: Iterable[int], coprime: bool = False) -> l
     Emits one row per n: the exact count, the ratio count / n^(k+1), and
     the finite-difference slope of log ratio against log n (None for the
     first row).  An empty list is refused, and so is a repeated n, which
-    would leave the slope undefined.
+    would leave the slope undefined.  Every query is built, and the tuple
+    cap of the largest n checked, before the first count.
     """
     n_values = list(n_values)
     if not n_values:
         raise RangeError("n values must not be empty")
     if len(set(n_values)) != len(n_values):
         raise RangeError(f"n values must be distinct, got {n_values}")
+    if k < 1:  # else n^(k+1) divides by zero at n = 0
+        raise RangeError(f"k must be >= 1, got {k}")
+    queries = [PairQuery(k, n, Fraction(n ** (k + 1)), coprime) for n in n_values]
+    check_tuples(max(queries, key=lambda q: q.n_max), "sharpness_study")
     rows: list[dict] = []
     prev: tuple[int, float] | None = None
-    for n in n_values:
-        y = Fraction(n ** (k + 1))
-        count = count_pairs_interval(PairQuery(k, n, y, coprime))
+    for n, q in zip(n_values, queries):
+        count = count_pairs_interval(q)
         ratio = count / n ** (k + 1)
         slope = None
         if prev is not None:

@@ -232,7 +232,7 @@ def dual_quadratic_form(p: SieveProblem, coeffs: Sequence[complex]) -> float:
 @dataclass(frozen=True)
 class BoundReport:
     """Baseline bounds; exact integers except cor2_rhs, which is exact
-    only when m_len * n_max^(k+1) is a perfect square."""
+    only when m_len * n_max^(k+1) is a perfect square, and else a float."""
 
     classical_1: int
     classical_2: int
@@ -241,7 +241,8 @@ class BoundReport:
 
 
 def classical_bounds(k: int, n_max: int, m_len: int) -> BoundReport:
-    """Exact evaluation of the four baseline sieve bounds."""
+    """Exact evaluation of the four baseline sieve bounds; RangeError when cor2_rhs
+    is not an integer and is past the float range."""
     SieveProblem(k, n_max, m_len)  # checks the arguments
     square = m_len * n_max ** (k + 1)
     root = isqrt(square)
@@ -249,7 +250,11 @@ def classical_bounds(k: int, n_max: int, m_len: int) -> BoundReport:
     if root * root == square:
         cor2 = n_max ** (k + 1) + root
     else:
-        cor2 = n_max ** (k + 1) + math.sqrt(square)
+        try:
+            cor2 = n_max ** (k + 1) + math.sqrt(square)
+        except OverflowError:
+            raise RangeError("cor2_rhs = N^(k+1) + sqrt(M*N^(k+1)) is past the float range "
+                             f"at k = {k}, N = {n_max}") from None
     return BoundReport(
         classical_1=m_len + n_max ** (2 * k),
         classical_2=n_max * m_len + n_max ** (k + 1),

@@ -6,6 +6,7 @@ import importlib.util
 import inspect
 import json
 import math
+import random
 import re
 import sys
 import time
@@ -15,8 +16,9 @@ from pathlib import Path
 import pytest
 
 import powfrac
-from powfrac import expsum, fraccore, paircount, sieve
+from powfrac import cli, expsum, fraccore, paircount, sieve
 from powfrac.cli import main
+from powfrac.errors import DimensionError, ResourceError, RootBracketError
 from powfrac.paircount import PairQuery, count_pairs_interval
 from powfrac.sieve import SieveProblem, dense_gram_eigenvalue
 
@@ -723,3 +725,147 @@ def test_every_test_import_is_declared():
                 imported.add(node.module.split(".")[0])
     third_party = imported - set(sys.stdlib_module_names) - {"powfrac"}
     assert third_party - declared == set()
+
+
+def _reject_constant(name):
+    raise AssertionError(f"report holds the non-JSON constant {name}")
+
+
+def test_degenerate_vdc_ratio_is_null(capsys):
+    # budget = 0.1/sqrt(0.5) + log(0.5) < 0: no ratio, and no Infinity in the report
+    argv = ["expsum-vdc", "--alpha", "0.5", "--y", "0.5", "--n-scale", "0.1", "--eta", "2"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    payload = json.loads(out, parse_constant=_reject_constant)
+    assert payload["budget"] < 0 and payload["ratio"] is None
+    code, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    header, row = out.splitlines()
+    assert header.endswith(",ratio") and row.endswith(",")
+
+
+def test_bounds_past_float_range_exits_2(capsys):
+    code, out, err = run_cli(capsys, ["bounds", "--k", "200", "--n", "40", "--m", "3"])
+    assert code == 2
+    assert out == "" and "cor2_rhs" in err and "float range" in err
+
+
+@pytest.mark.parametrize("n_list, code", [("40,80,160,1000", 3), ("40,80,0", 2)])
+def test_sharpness_study_refuses_before_first_count(capsys, monkeypatch, n_list, code):
+    monkeypatch.setattr(paircount, "count_pairs_interval",
+                        lambda q: pytest.fail("counted before the refusal"))
+    result, out, err = run_cli(capsys, ["sharpness-study", "--k", "2", "--n-list", n_list])
+    assert result == code
+    assert out == ""
+    if code == 3:
+        assert "sharpness_study tuples" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--alpha-mode", "basis", "--basis-index", "3"], "basis index 3 outside [0, 3)"),
+    (["--seed", "-1"], "must be >= 0, got -1"),
+])
+def test_sieve_l1_bad_basis_index_or_seed_exits_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, ["sieve-l1", "--k", "1", "--n-max", "2", "--m-len", "3"]
+                             + argv)
+    assert code == 2
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ResourceError("cap"), 3, "resource limit: cap"),
+    (RootBracketError("bracket"), 2, "error: bracket"),
+    (DimensionError("length"), 2, "error: length"),
+    (ValueError("bug"), 1, "internal error: bug"),
+])
+def test_exit_code_follows_the_error_type(capsys, monkeypatch, error, code, prefix):
+    def fail(args):
+        raise error
+    monkeypatch.setattr(cli, "cmd_bounds", fail)
+    result, out, err = run_cli(capsys, ["bounds", "--k", "1", "--n", "1", "--m", "1"])
+    assert result == code
+    assert out == "" and err == prefix + "\n"
+
+
+_SIZES = ["-1", "0", "1", "2", "3", "4"]
+_INTS = ["1" + "0" * 200, "-7", "-1", "0", "1", "2", "5"]
+_REALS = ["1" + "0" * 200, "5e-324", "1e300", "-1e300", "nan", "inf", "-inf", "0", "-1", "-0.5",
+          "0.5", "1", "1.5", "3"]
+_RATIONALS = ["0/1", "-3/2", "1/3", "1/1", "9/2", "50/1", "1" + "0" * 200 + "/1",
+              "1/1" + "0" * 200, "0.5", "2/0"]
+
+
+def _random_argv(rng: random.Random) -> list[str]:
+    """One argv over all 14 subcommands: tiny sizes, extreme scalars.  Values are
+    joined to their option by "=", so that argparse reads "-1" as a value."""
+    size, integer = (lambda: rng.choice(_SIZES)), (lambda: rng.choice(_INTS))
+    real, rational = (lambda: rng.choice(_REALS)), (lambda: rng.choice(_RATIONALS))
+
+    def flag(name):
+        return {name: None} if rng.random() < 0.5 else {}
+
+    def fmt():
+        return {"format": rng.choice(["json", "csv"])}
+
+    def phase():
+        return {"alpha": real(), "y": real(), "n-scale": real(), "eta": real()}
+
+    def window():
+        return {"k": size(), "n-max": size(), "m-len": size(), "m-offset": integer()}
+
+    options = {
+        "enumerate": lambda: {"k": size(), "n-max": size(), "limit": integer(),
+                              **flag("coprime"), **flag("sorted")},
+        "pairs": lambda: {"k": size(), "n-max": size(), "y": rational(), **flag("coprime"),
+                          "metric": rng.choice(["line", "circle"]),
+                          "method": rng.choice(["sweep", "oracle"])},
+        "blocks": lambda: {"k": size(), "u1": integer(), "n1": size(), "u2": integer(),
+                           "n2": size(), "y": rational(), **flag("closed")},
+        "window": lambda: {"k": size(), "n-max": size(), "x": rational(), "y": rational(),
+                           **flag("no-coprime")},
+        "measure": lambda: {"k": size(), "n-max": size(), "y": rational(),
+                            "threshold": integer(), **flag("no-coprime")},
+        "expsum-direct": phase,
+        "expsum-vdc": lambda: {**phase(), **fmt()},
+        "kusmin": lambda: {"coef": real(), "power": real(), "a": real(), "b": real(),
+                           "lam": real()},
+        "meanvalue": lambda: {"k": integer(), "n-lo": integer(), "n-hi": integer(),
+                              "u-lo": integer(), "u-hi": integer(), "y-max": real()},
+        "sieve-delta": lambda: {**window(), "method": rng.choice(["power", "dense"])},
+        "sieve-l1": lambda: {**window(), "alpha-mode": rng.choice(["random", "ones", "basis"]),
+                             "basis-index": integer(), "seed": integer()},
+        "sieve-dual": lambda: {**window(),
+                               "coeff-mode": rng.choice(["ones", "random-unimodular"]),
+                               "seed": integer()},
+        "bounds": lambda: {"k": size(), "n": size(), "m": integer(), **fmt()},
+        "sharpness-study": lambda: {"k": size(), "n-list": ",".join(
+            size() for _ in range(rng.randint(0, 3))), **flag("coprime"), **fmt()},
+    }
+    name = rng.choice(SUBCOMMANDS)
+    return [name] + [f"--{key}" if value is None else f"--{key}={value}"
+                     for key, value in options[name]().items()]
+
+
+_FIXED_ARGV = [
+    ["expsum-vdc", "--alpha", "0.5", "--y", "0.5", "--n-scale", "0.1", "--eta", "2"],
+    ["bounds", "--k", "200", "--n", "40", "--m", "3"],
+    ["sharpness-study", "--k=-2", "--n-list", "0"],  # n^(k+1) would divide by zero
+]
+
+
+def test_random_argv_exit_cleanly(capsys):
+    """Every argv either succeeds with a strict JSON (or CSV) report, or is refused
+    with exit 2 or 3 and an empty stdout: never an internal error."""
+    rng = random.Random(0)
+    lines = _FIXED_ARGV + [_random_argv(rng) for _ in range(400)]
+    assert {argv[0] for argv in lines} == set(SUBCOMMANDS)
+    for argv in lines:
+        code, out, err = run_cli(capsys, argv)
+        assert code in (0, 2, 3), (argv, err)
+        if code != 0:
+            assert out == "", argv
+        elif "--format=csv" in argv:
+            header, *rows = out.splitlines()
+            assert rows and all(row.count(",") == header.count(",") for row in rows), argv
+        else:
+            json.loads(out, parse_constant=_reject_constant)

@@ -367,6 +367,9 @@ def test_kusmin_landau_rejects_violated_hypothesis():
     for a, b in ((1, math.inf), (-math.inf, 5), (math.nan, 5), (1, math.nan)):
         with pytest.raises(RangeError, match="finite"):
             kusmin_landau_check(_linear_phase(0.3, a, b), 0.3)
+    # cot(pi*lam/2) overflows at a subnormal lam: refused before f' is sampled
+    with pytest.raises(RangeError, match="bound .* past the float range"):
+        kusmin_landau_check(_linear_phase(0.3, 1, 7), 5e-324)
 
 
 def test_kusmin_landau_refused_past_term_cap_before_any_call():

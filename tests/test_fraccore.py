@@ -185,6 +185,16 @@ def test_check_work_reads_the_cap_from_the_environment(monkeypatch):
         check_work(lambda cap: tuple_count(1, 10**9, False, cap), 7, "work")
 
 
+@pytest.mark.parametrize("env", ["abc", "1e9", "-5", "2.5", "0x10"])
+def test_check_work_refuses_a_variable_that_is_not_a_non_negative_integer(monkeypatch, env):
+    monkeypatch.setenv("POWFRAC_MAX_POINTS", env)
+    with pytest.raises(RangeError, match="POWFRAC_MAX_POINTS must be a non-negative integer"):
+        check_work(lambda cap: pytest.fail("counted work"), 7, "work")
+    monkeypatch.setenv("POWFRAC_MAX_POINTS", " 0 ")  # zero is a cap, and spaces are trimmed
+    with pytest.raises(ResourceError, match="exceeds cap 0"):
+        check_work(lambda cap: 1, 7, "work")
+
+
 _SIEVE = SieveProblem(2, 3, 2)  # 9 rows, 18 entries
 # Every library entry point that checks the resource cap, at a size far below
 # the defaults but past a cap of 3 tuples or matrix entries.

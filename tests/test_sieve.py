@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powfrac import sieve
-from powfrac.errors import DimensionError, ResourceError
+from powfrac.errors import DimensionError, RangeError, ResourceError
 from powfrac.fraccore import tuple_count
 from powfrac.sieve import (
     BoundReport,
@@ -399,6 +399,15 @@ def test_classical_bounds_perfect_square_exact():
     rep = classical_bounds(k=1, n_max=4, m_len=16)
     assert rep.cor2_rhs == 32
     assert isinstance(rep.cor2_rhs, int)
+
+
+def test_classical_bounds_refuses_cor2_past_the_float_range():
+    # 3 * 40^201 is past 2^1024 and not a square: its sqrt has no float
+    with pytest.raises(RangeError, match="cor2_rhs .* past the float range"):
+        classical_bounds(k=200, n_max=40, m_len=3)
+    # an exact square keeps its int however large: 40^201 * 40^201
+    rep = classical_bounds(k=200, n_max=40, m_len=40**201)
+    assert rep.cor2_rhs == 2 * 40**201
 
 
 def test_delta_dominated_by_classical_bounds():
