@@ -132,10 +132,16 @@ class EnumerationSpec:
             raise RangeError(f"k must be >= 1, got {self.k}")
 
 
-def _base_counts(k: int, n_max: int, coprime: bool) -> Iterator[int]:
+def _base_counts(k: int, n_max: int, coprime: bool, cap: float) -> Iterator[int]:
     """Tuples with base n, for n = 1 .. n_max: n^k, or n^(k-1) * phi(n) with the
-    gcd filter, because the coprimality condition on u is n-periodic over [1, n^k]."""
+    gcd filter, because the coprimality condition on u is n-periodic over [1, n^k].
+    Either is at least n^(k-1) >= 2^((k-1)*(bit_length(n)-1)); once that passes
+    cap by bit length alone, cap + 1 stands for the count and ends the sequence,
+    so no power past the cap's size is formed."""
     for n in range(1, n_max + 1):
+        if cap < math.inf and (k - 1) * (n.bit_length() - 1) >= cap.bit_length():
+            yield cap + 1
+            return
         yield n ** (k - 1) * euler_phi(n) if coprime else n**k
 
 
@@ -144,7 +150,7 @@ def tuple_count(k: int, n_max: int, coprime: bool = False, cap: float = math.inf
     with the gcd filter.  The sum stops at the first partial sum past cap, which it
     returns, since a refusal needs no more; a count of at most cap is exact."""
     total = 0
-    for count in _base_counts(k, n_max, coprime):
+    for count in _base_counts(k, n_max, coprime, cap):
         total += count
         if total > cap:
             break

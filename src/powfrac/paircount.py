@@ -11,9 +11,11 @@ without the gcd filter, and with it the Moebius sum, where u = e*v over
 squarefree e | n turns u/n^k into v/c with c = n^k/e.  Each entry stands
 for the complete residue system v = 1..c, so a near-pair count costs one
 gcd per pair of entries and a window count one floor difference per
-entry; neither lists the fractions.  Block counts range over dyadic
-boxes, which are not complete residue systems: one lattice strip per pair
-of bases, floor sums in O(log) steps.
+entry; neither lists the fractions.  On the line, a pair of entries some
+of whose values are near only across 0 = 1 is one lattice strip instead.
+Block counts range over dyadic boxes, which are not complete residue
+systems: one strip per pair of bases.  Every strip is one _near call,
+floor sums in O(log) steps.
 """
 
 from __future__ import annotations
@@ -81,23 +83,20 @@ def _clamped_floor_sum(a: int, b: int, m: int, x0: int, x1: int, lo: int, hi: in
     return lo * (xa - x0) + _floor_sum(xb - xa, m, a, a * xa + b) + hi * (x1 + 1 - xb)
 
 
-def _strip(alpha: int, beta: int, x0: int, x1: int, y0: int, y1: int, lo: int, hi: int) -> int:
-    """#{x0 <= x <= x1, y0 <= y <= y1 : lo <= alpha*x - beta*y <= hi}.
-
-    Needs alpha, beta >= 1, lo <= hi and non-empty ranges.  For each x the
-    admissible y run from floor((alpha*x - hi - 1)/beta) + 1 to
-    floor((alpha*x - lo)/beta); clamping both ends to [y0 - 1, y1] turns the
-    count into a difference of two clamped floor sums.
-    """
-    return (_clamped_floor_sum(alpha, -lo, beta, x0, x1, y0 - 1, y1)
-            - _clamped_floor_sum(alpha, -hi - 1, beta, x0, x1, y0 - 1, y1))
-
-
 def _near(c1: int, c2: int, x0: int, x1: int, y0: int, y1: int, yp: int, yq: int) -> int:
-    """#{x0 <= x <= x1, y0 <= y <= y1 : |x/c1 - y/c2| <= yq/yp}, one strip."""
+    """#{x0 <= x <= x1, y0 <= y <= y1 : |x/c1 - y/c2| <= yq/yp}, one lattice strip.
+
+    With l = lcm(c1, c2), alpha = l/c1, beta = l/c2 and R = floor(l*yq/yp)
+    the condition is |alpha*x - beta*y| <= R.  For each x the admissible y
+    run from floor((alpha*x - R - 1)/beta) + 1 to floor((alpha*x + R)/beta);
+    clamping both ends to [y0 - 1, y1] turns the count into a difference of
+    two clamped floor sums.
+    """
     l = math.lcm(c1, c2)
     reach = yq * l // yp
-    return _strip(l // c1, l // c2, x0, x1, y0, y1, -reach, reach)
+    alpha, beta = l // c1, l // c2
+    return (_clamped_floor_sum(alpha, reach, beta, x0, x1, y0 - 1, y1)
+            - _clamped_floor_sum(alpha, -reach - 1, beta, x0, x1, y0 - 1, y1))
 
 
 def _pair_count(c1: int, c2: int, yp: int, yq: int, circle: bool) -> int:
@@ -107,24 +106,17 @@ def _pair_count(c1: int, c2: int, yp: int, yq: int, circle: bool) -> int:
     difference D = alpha*v1 - beta*v2, |D| < l, hits each residue mod l g
     times, as v1 and v2 run over complete residue systems and
     gcd(alpha, beta) = 1.  The circle counts D within R = floor(l*yq/yp) of
-    0 mod l (R past l - 1 changes nothing).  The line drops |D| >= l - m,
-    m = min(R, l - R - 1): two triangles of the box, each one _strip, the
-    first l - m <= D <= l - 1 and the second 1 - l <= D <= m - l.
+    0 mod l (R past l - 1 changes nothing).  The line loses the pairs near
+    only across 0 = 1, those with |D| >= l - m, m = min(R, l - R - 1); as
+    alpha - l <= D <= l - beta there are none when m < min(alpha, beta), and
+    otherwise the line count is one _near strip over the box.
     """
     g = math.gcd(c1, c2)
     l = c1 // g * c2
     reach = min(yq * l // yp, l - 1)
-    count = g * min(2 * reach + 1, l)
-    if not circle:
-        alpha, beta = c2 // g, c1 // g
-        m = min(reach, l - reach - 1)
-        # D <= l - beta and D >= alpha - l, so each triangle is empty unless m reaches
-        # beta (resp. alpha): m >= beta needs c2 >= Y, m >= alpha c1 >= Y
-        if m >= beta:
-            count -= _strip(alpha, beta, 1, c1, 1, c2, l - m, l - 1)
-        if m >= alpha:
-            count -= _strip(alpha, beta, 1, c1, 1, c2, 1 - l, m - l)
-    return count
+    if circle or min(reach, l - reach - 1) < min(c1, c2) // g:
+        return g * min(2 * reach + 1, l)
+    return _near(c1, c2, 1, c1, 1, c2, yp, yq)
 
 
 def count_pairs_interval(q: PairQuery) -> int:
@@ -313,18 +305,17 @@ def sharpness_study(k: int, n_values: Iterable[int], coprime: bool = False) -> l
     Emits one row per n: the exact count, the ratio count / n^(k+1), and
     the finite-difference slope of log ratio against log n (None for the
     first row).  An empty list is refused, and so is a repeated n, which
-    would leave the slope undefined.  Every query is built, and the tuple
-    cap of the largest n checked, before the first count.
+    would leave the slope undefined.  Every n is checked, and the tuple cap
+    of the largest, before any y = n^(k+1) is formed or counted.
     """
     n_values = list(n_values)
     if not n_values:
         raise RangeError("n values must not be empty")
     if len(set(n_values)) != len(n_values):
         raise RangeError(f"n values must be distinct, got {n_values}")
-    if k < 1:  # else n^(k+1) divides by zero at n = 0
-        raise RangeError(f"k must be >= 1, got {k}")
+    specs = [EnumerationSpec(k, n, coprime) for n in n_values]  # refuses k < 1 and n < 1
+    check_tuples(max(specs, key=lambda spec: spec.n_max), "sharpness_study")
     queries = [PairQuery(k, n, Fraction(n ** (k + 1)), coprime) for n in n_values]
-    check_tuples(max(queries, key=lambda q: q.n_max), "sharpness_study")
     rows: list[dict] = []
     prev: tuple[int, float] | None = None
     for n, q in zip(n_values, queries):

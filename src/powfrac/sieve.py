@@ -23,6 +23,7 @@ n^k >= 2^31, past the exact int64 products, are refused before any table.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
@@ -242,8 +243,17 @@ class BoundReport:
 
 def classical_bounds(k: int, n_max: int, m_len: int) -> BoundReport:
     """Exact evaluation of the four baseline sieve bounds; RangeError when cor2_rhs
-    is not an integer and is past the float range."""
+    is not an integer and is past the float range.  ResourceError, before any power
+    is formed, when a bound may have more decimal digits than int-to-str conversion
+    allows (its default limit when the limit is off): each bound has at most one bit
+    more than N^(2k) or N*M, at most 2k*bit_length(N) and bit_length(N) + bit_length(M)."""
     SieveProblem(k, n_max, m_len)  # checks the arguments
+    bits = max(2 * k * n_max.bit_length(), n_max.bit_length() + m_len.bit_length()) + 1
+    digits = bits * 30103 // 100000 + 1  # log10(2) < 0.30103
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if digits > limit:
+        raise ResourceError(f"bounds at k = {k} may have up to {digits} digits, past the "
+                            f"{limit}-digit limit of int-to-str conversion")
     square = m_len * n_max ** (k + 1)
     root = isqrt(square)
     cor2: int | float

@@ -670,13 +670,22 @@ def _private_name(name: str) -> bool:
 def test_no_module_reaches_into_another_modules_private_names():
     """No file of the package imports a _name from another powfrac module, or reads
     module._name on a powfrac module it imported: each decision stays behind the one
-    module that owns it."""
+    module that owns it.  And no private module-level function is dead: each is named
+    by some other top-level statement of the package."""
     package = Path(powfrac.__file__).parent
     leaks = []
+    defs, uses = [], []  # (file, private top-level function); (a statement's def, its names)
     for path in sorted(package.glob("*.py")):
         own = "powfrac" if path.stem == "__init__" else f"powfrac.{path.stem}"
         modules = {}  # local name -> powfrac module it is bound to
         tree = ast.parse(path.read_text())
+        for stmt in tree.body:
+            defined = stmt.name if isinstance(stmt, ast.FunctionDef) else None
+            if defined and _private_name(defined):
+                defs.append((path.name, defined))
+            uses.append((defined, {node.id if isinstance(node, ast.Name) else node.attr
+                                   for node in ast.walk(stmt)
+                                   if isinstance(node, (ast.Name, ast.Attribute))}))
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
@@ -705,6 +714,9 @@ def test_no_module_reaches_into_another_modules_private_names():
                 if module != own:
                     leaks.append(f"{path.name}:{node.lineno} reads {module}.{node.attr}")
     assert leaks == []
+    dead = [f"{file}:{name}" for file, name in defs
+            if not any(name in names for defined, names in uses if defined != name)]
+    assert dead == []
 
 
 def test_every_test_import_is_declared():
@@ -748,6 +760,27 @@ def test_bounds_past_float_range_exits_2(capsys):
     code, out, err = run_cli(capsys, ["bounds", "--k", "200", "--n", "40", "--m", "3"])
     assert code == 2
     assert out == "" and "cor2_rhs" in err and "float range" in err
+
+
+@pytest.mark.parametrize("argv", [
+    [command, "--k", "10000000", "--n-max", "2", *rest] for command, rest in [
+        ("pairs", ["--y", "1/1"]), ("window", ["--x", "1/2", "--y", "3/1"]),
+        ("measure", ["--y", "3/1", "--threshold", "1"]), ("enumerate", []),
+        ("sieve-delta", ["--m-len", "3"])]
+] + [
+    ["pairs", "--k", "1000000000", "--n-max", "3", "--y", "1/1"],
+    ["sharpness-study", "--k", "10000000", "--n-list", "2,3"],
+    ["bounds", "--k", "10000", "--n", "10", "--m", "10"],
+    ["bounds", "--k", "100000000", "--n", "3", "--m", "5"],
+])
+def test_huge_k_is_refused_before_any_power_is_formed(capsys, monkeypatch, argv):
+    """n^k, n^(k+1) and N^(2k) past the cap or the int-to-str digit limit are refused
+    from bit lengths, in well under the seconds that forming them would take."""
+    monkeypatch.delenv("POWFRAC_MAX_POINTS", raising=False)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, ""), err
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("n_list, code", [("40,80,160,1000", 3), ("40,80,0", 2)])

@@ -231,6 +231,19 @@ def test_pair_closed_form_matches_double_loop():
                     assert got == bisect_right(dists, t), (c1, c2, t, circle)
 
 
+def test_line_pair_count_is_at_most_one_strip_per_pair_of_entries(monkeypatch):
+    """Below the denominators some line pairs are near only across 0 = 1, so the
+    line count needs lattice strips: at least one _near call, and at most one per
+    unordered pair of table entries."""
+    q = PairQuery(2, 6, Fraction(7, 3))
+    calls = []
+    near = paircount._near
+    monkeypatch.setattr(paircount, "_near", lambda *a: calls.append(a) or near(*a))
+    assert count_pairs_interval(q) == count_pairs_bruteforce(q)
+    entries = len(reduced_denominators(2, 6, False))
+    assert 1 <= len(calls) <= entries * (entries + 1) // 2
+
+
 # Property tests: every caller of the shared window sweep against a double loop.
 # Thresholds sit on the exact gap between two drawn values, so pairs tie at the
 # window edges; two coincident values fall back to a drawn threshold.
@@ -400,7 +413,6 @@ def test_lattice_counts_never_enumerate(monkeypatch):
     # near-pair counts with Y past every denominator, and window counts, are
     # closed forms over complete residue systems: no lattice strip either
     monkeypatch.setattr(paircount, "_near", refuse)
-    monkeypatch.setattr(paircount, "_strip", refuse)
     for coprime in (False, True):
         for metric in ("line", "circle"):
             assert count_pairs_interval(PairQuery(2, 30, Fraction(27000), coprime, metric)) > 0

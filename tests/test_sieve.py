@@ -410,6 +410,14 @@ def test_classical_bounds_refuses_cor2_past_the_float_range():
     assert rep.cor2_rhs == 2 * 40**201
 
 
+@pytest.mark.parametrize("k, n_max, m_len", [(10000, 10, 10), (10**8, 3, 5)])
+def test_classical_bounds_refuses_more_digits_than_int_to_str_allows(k, n_max, m_len):
+    # N^(2k) has 20 001 digits at the first, about 9.5*10^7 at the second:
+    # refused from bit lengths, before either power is formed
+    with pytest.raises(ResourceError, match="digit limit of int-to-str conversion"):
+        classical_bounds(k, n_max, m_len)
+
+
 def test_delta_dominated_by_classical_bounds():
     # The computed eigenvalue never exceeds the coarse classical bounds
     # (with slack 2 for the non-asymptotic small ranges used here).
