@@ -1,7 +1,7 @@
 """Exact spacing statistics and large-sieve constants for fractions
 with power denominator."""
 
-from .errors import DimensionError, PowfracError, RangeError, ResourceError, RootBracketError
+from .errors import PowfracError, RangeError, ResourceError
 from .fraccore import (EnumerationSpec, PowerFraction, enumerate_tuples, euler_phi,
                        format_rational, parse_rational, tuple_count)
 from .paircount import (CoverageProfile, DyadicBlockQuery, PairQuery, count_pairs_block,
@@ -18,7 +18,7 @@ from .sieve import (BoundReport, SieveProblem, classical_bounds,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DimensionError", "PowfracError", "RangeError", "ResourceError", "RootBracketError",
+    "PowfracError", "RangeError", "ResourceError",
     "EnumerationSpec", "PowerFraction", "enumerate_tuples", "euler_phi",
     "format_rational", "parse_rational", "tuple_count",
     "CoverageProfile", "DyadicBlockQuery", "PairQuery", "count_pairs_block",

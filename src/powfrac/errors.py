@@ -6,16 +6,9 @@ class PowfracError(Exception):
 
 
 class RangeError(PowfracError):
-    """An argument is outside its admissible integer range."""
+    """An argument is outside its admissible range, has the wrong length, or
+    breaks a hypothesis of the function it is passed to."""
 
 
 class ResourceError(PowfracError):
     """Predicted work exceeds the configured resource cap."""
-
-
-class RootBracketError(PowfracError):
-    """A claimed-monotone derivative failed to bracket a root."""
-
-
-class DimensionError(PowfracError):
-    """A coefficient vector has the wrong length."""

@@ -36,7 +36,7 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .errors import RangeError, ResourceError, RootBracketError
+from .errors import RangeError, ResourceError
 
 # Largest P^2 (entries of the phase-difference kernel) mean_value_integral builds.
 MAX_KERNEL_ENTRIES = 5_000_000
@@ -203,11 +203,6 @@ def monomial_term_count(p: PhaseSpec) -> int:
     return len(_monomial_range(p))
 
 
-def vdc_transform_budget(p: PhaseSpec) -> float:
-    """Error allowance for the monomial transform: n_scale/sqrt(y) + log y."""
-    return p.n_scale / math.sqrt(p.y) + math.log(p.y)
-
-
 def _dual_range(p: PhaseSpec) -> range:
     if p.alpha >= 1 and p.alpha == int(p.alpha):
         raise RangeError(f"alpha must not be a positive integer, got {p.alpha}")
@@ -233,13 +228,14 @@ def vdc_transform_sum(p: PhaseSpec) -> tuple[complex, float]:
     strictly between the endpoint derivatives c1*m_scale and c2*m_scale
     (c1 = min(1, eta**(alpha-1)), c2 = max), each contributing
     sqrt(|beta-1|*y) * (1/m) * (m/m_scale)**(beta/2)
-    * e(sign(alpha-1)/8 - (y/beta)*(m/m_scale)**beta).
+    * e(sign(alpha-1)/8 - (y/beta)*(m/m_scale)**beta).  The budget, the
+    error allowance of the transform, is n_scale/sqrt(y) + log y.
     An empty dual range returns value 0 with the full budget.
     """
     dual = _dual_range(p)
     m_scale = p.m_scale
     beta = p.beta
-    budget = vdc_transform_budget(p)
+    budget = p.n_scale / math.sqrt(p.y) + math.log(p.y)
     if len(dual) == 0:
         return 0j, budget
     amp = math.sqrt(abs(beta - 1) * p.y)
@@ -362,10 +358,14 @@ def stationary_phase_generic(g: GenericPhase) -> tuple[complex, float]:
     |f''(x_m)|**(-1/2) * e(f(x_m) - m*x_m + sigma/8) with sigma the sign
     of f''.  Returns (value, budget) with budget
     1/sqrt(min |f''|) + log(|f'(b) - f'(a)| + 2), f' and f'' sampled at 33
-    equally spaced points of [a, b].  |f'| >= 2^53 at an end is refused with
-    RangeError: there a float f' - m can round to 0 away from the root.  So is
-    a root where f'' is exactly 0, whose weight would be infinite.
+    equally spaced points of [a, b].  RangeError refuses a > b before any
+    sample of f', and a sampled f' that is not monotone, which would defeat
+    the bisection.  So is |f'| >= 2^53 at an end: there a float f' - m can
+    round to 0 away from the root.  So is a root where f'' is exactly 0, whose
+    weight would be infinite.
     """
+    if g.a > g.b:
+        raise RangeError(f"endpoints must satisfy a <= b, got [{g.a}, {g.b}]")
     fa = g.df(g.a)
     fb = g.df(g.b)
     if max(abs(fa), abs(fb)) >= 2.0**53:
@@ -378,7 +378,7 @@ def stationary_phase_generic(g: GenericPhase) -> tuple[complex, float]:
     for left, right in zip(dvals, dvals[1:]):
         drift = left - right if increasing else right - left
         if drift > slack:
-            raise RootBracketError(
+            raise RangeError(
                 "sampled f' is not monotone from f'(a) to f'(b); "
                 "bisection preconditions are defeated"
             )
@@ -477,8 +477,8 @@ class MeanValueSpec:
             for u in range(self.i2[0], self.i2[1] + 1):
                 phis.append(_finite("phi", self.phi, n, u))
                 t = 1.0 if self.theta is None else complex(self.theta(n, u))
-                if abs(t) > 1 + 1e-12:
-                    raise RangeError(f"|theta({n},{u})| = {abs(t)} exceeds 1")
+                if not abs(t) <= 1 + 1e-12:  # refuses NaN too
+                    raise RangeError(f"|theta({n},{u})| = {abs(t)} is not at most 1")
                 thetas.append(t)
         return np.asarray(phis, dtype=float), np.asarray(thetas, dtype=complex)
 
@@ -535,10 +535,6 @@ def phase_pair_count(s: MeanValueSpec) -> int:
     return _pairs_within(phis, phis, -t, t)
 
 
-def calibration_entry(lemma_id: str, grid: list[dict], measured_constant: float) -> dict:
-    return {"lemma_id": lemma_id, "grid": grid, "measured_constant": measured_constant}
-
-
 def write_calibration(path: str | Path, entries: list[dict]) -> None:
     Path(path).write_text(json.dumps(entries, indent=2, sort_keys=True) + "\n")
 
@@ -571,7 +567,7 @@ def calibrate_pair_count_vs_mean_value(k_values=(1, 2), sizes=(2, 4, 8),
                 best = max(best, ratio)
                 grid.append({"k": k, "size": size, "y_max": y, "pair_count": j,
                              "mean_value": value, "ratio": ratio})
-    return calibration_entry("pair_count_vs_mean_value", grid, best)
+    return {"lemma_id": "pair_count_vs_mean_value", "grid": grid, "measured_constant": best}
 
 
 def calibrate_mean_value_shortening(k_values=(1, 2), sizes=(2, 4, 8),
@@ -590,4 +586,4 @@ def calibrate_mean_value_shortening(k_values=(1, 2), sizes=(2, 4, 8),
                 best = max(best, ratio)
                 grid.append({"k": k, "size": size, "y_long": y_long, "y_short": y_short,
                              "ratio": ratio})
-    return calibration_entry("mean_value_window_shortening", grid, best)
+    return {"lemma_id": "mean_value_window_shortening", "grid": grid, "measured_constant": best}

@@ -15,12 +15,14 @@ entry; neither lists the fractions.  On the line, a pair of entries some
 of whose values are near only across 0 = 1 is one lattice strip instead.
 Block counts range over dyadic boxes, which are not complete residue
 systems: one strip per pair of bases.  Every strip is one _near call,
-floor sums in O(log) steps.
+floor sums in O(log) steps.  Every entry point takes its threshold scale
+y through _threshold, which refuses all but a positive int or Fraction.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -31,7 +33,15 @@ from .errors import RangeError
 from .fraccore import (DEFAULT_MAX_POINTS, EnumerationSpec, check_tuples, check_work,
                        fraction_table, reduced_denominators)
 
-HALF = Fraction(1, 2)
+
+def _threshold(y) -> Fraction:
+    """The threshold scale y as an exact Fraction.  RangeError unless y is a positive
+    numbers.Rational: a float would turn the exact counts and measures into floats."""
+    if not isinstance(y, numbers.Rational):
+        raise RangeError(f"threshold scale y must be an int or a Fraction, got {y!r}")
+    if y <= 0:
+        raise RangeError(f"threshold scale y must be positive, got {y}")
+    return Fraction(y)
 
 
 @dataclass(frozen=True)
@@ -47,8 +57,7 @@ class PairQuery:
     def __post_init__(self) -> None:
         if self.k < 1 or self.n_max < 1:
             raise RangeError(f"k and n_max must be >= 1, got ({self.k}, {self.n_max})")
-        if self.y <= 0:
-            raise RangeError(f"threshold scale y must be positive, got {self.y}")
+        object.__setattr__(self, "y", _threshold(self.y))
         if self.metric not in ("line", "circle"):
             raise RangeError(f"metric must be 'line' or 'circle', got {self.metric!r}")
 
@@ -129,7 +138,7 @@ def count_pairs_interval(q: PairQuery) -> int:
     """
     tuples = check_tuples(q, "count_pairs_interval")
     circle = q.metric == "circle"
-    if circle and 1 / q.y >= HALF:
+    if circle and q.y <= 2:
         # every circle distance is at most 1/2 <= 1/y
         return tuples**2
     yp, yq = q.y.numerator, q.y.denominator
@@ -175,8 +184,7 @@ class DyadicBlockQuery:
     def __post_init__(self) -> None:
         if min(self.k, self.u1, self.n1, self.u2, self.n2) < 1:
             raise RangeError("all block parameters must be >= 1")
-        if self.y <= 0:
-            raise RangeError(f"threshold scale y must be positive, got {self.y}")
+        object.__setattr__(self, "y", _threshold(self.y))
 
 
 def count_pairs_block(q: DyadicBlockQuery, closed: bool = False) -> int:
@@ -234,14 +242,13 @@ class CoverageProfile:
 
 def coverage_profile(k: int, n_max: int, y: Fraction, coprime: bool = True) -> CoverageProfile:
     """Sweep the 2*P closed-arc endpoints into an exact coverage step function."""
-    if y <= 0:
-        raise RangeError(f"threshold scale y must be positive, got {y}")
+    y = _threshold(y)
     check_tuples(EnumerationSpec(k, n_max, coprime), "coverage_profile")
     u, n = fraction_table(k, n_max, coprime)
     centers = [Fraction(a, b) % 1 for a, b in zip(u.tolist(), (n**k).tolist())]
     p = len(centers)
     r = 1 / y
-    if r >= HALF:
+    if y <= 2:
         # every arc individually covers the whole circle
         return CoverageProfile((Fraction(0),), (p,), (p,), r, p)
     starts: Counter = Counter()
@@ -274,10 +281,9 @@ def window_count(k: int, n_max: int, x: Fraction, y: Fraction, coprime: bool = T
     within 1/y of x on the circle stand one to one for the integers j in
     [c*(x - 1/y), c*(x + 1/y)], v = j mod c, and count w times.
     """
-    if y <= 0:
-        raise RangeError(f"threshold scale y must be positive, got {y}")
+    y = _threshold(y)
     tuples = check_tuples(EnumerationSpec(k, n_max, coprime), "window_count")
-    if 1 / y >= HALF:
+    if y <= 2:
         # every circle distance is at most 1/2 <= 1/y
         return tuples
     a, b, yp, yq = x.numerator, x.denominator, y.numerator, y.denominator
@@ -315,7 +321,7 @@ def sharpness_study(k: int, n_values: Iterable[int], coprime: bool = False) -> l
         raise RangeError(f"n values must be distinct, got {n_values}")
     specs = [EnumerationSpec(k, n, coprime) for n in n_values]  # refuses k < 1 and n < 1
     check_tuples(max(specs, key=lambda spec: spec.n_max), "sharpness_study")
-    queries = [PairQuery(k, n, Fraction(n ** (k + 1)), coprime) for n in n_values]
+    queries = [PairQuery(k, n, n ** (k + 1), coprime) for n in n_values]
     rows: list[dict] = []
     prev: tuple[int, float] | None = None
     for n, q in zip(n_values, queries):

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, RangeError, ResourceError
+from .errors import RangeError, ResourceError
 from .fraccore import check_work, fraction_table, reduced_denominators, tuple_count
 
 # Cap on the P x m_len matrix entries, unless POWFRAC_MAX_POINTS sets another.
@@ -81,6 +81,11 @@ def sieve_matrix(p: SieveProblem) -> np.ndarray:
     most n_max^k entries, is alive at a time.
     """
     row_count(p)
+    return _matrix_within_cap(p)
+
+
+def _matrix_within_cap(p: SieveProblem) -> np.ndarray:
+    """sieve_matrix once row_count has passed p: the modulus check, then B."""
     if p.n_max**p.k >= _MAX_INT64_MODULUS:
         raise ResourceError(f"modulus {p.n_max}^{p.k} is past the exact int64 range")
     a, bases = sieve_rows(p)
@@ -213,21 +218,20 @@ def l1_sieve_sum(p: SieveProblem, alpha: Sequence[complex]) -> float:
     """Sum over rows of |sum_m alpha_m e(a*m/n^k)| (the l1-of-rows functional)."""
     alpha_arr = np.asarray(alpha, dtype=complex)
     if alpha_arr.shape != (p.m_len,):
-        raise DimensionError(
-            f"alpha must have length {p.m_len}, got shape {alpha_arr.shape}"
-        )
+        raise RangeError(f"alpha must have length {p.m_len}, got shape {alpha_arr.shape}")
     b = sieve_matrix(p)
     return float(np.abs(b @ alpha_arr).sum())
 
 
 def dual_quadratic_form(p: SieveProblem, coeffs: Sequence[complex]) -> float:
     """Sum over the window of |sum_(a,n) c(a,n) e(a*m/n^k)|^2, with the
-    coefficients c given densely in row order."""
-    b = sieve_matrix(p)
+    coefficients c given densely in row order.  The length of c is checked
+    against the row count of the cap check, before B is built."""
+    rows = row_count(p)
     c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (len(b),):
-        raise DimensionError(f"coeffs must have length {len(b)}, got shape {c.shape}")
-    return float((np.abs(c @ b) ** 2).sum())
+    if c.shape != (rows,):
+        raise RangeError(f"coeffs must have length {rows}, got shape {c.shape}")
+    return float((np.abs(c @ _matrix_within_cap(p)) ** 2).sum())
 
 
 @dataclass(frozen=True)

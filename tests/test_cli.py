@@ -18,7 +18,7 @@ import pytest
 import powfrac
 from powfrac import cli, expsum, fraccore, paircount, sieve
 from powfrac.cli import main
-from powfrac.errors import DimensionError, ResourceError, RootBracketError
+from powfrac.errors import RangeError, ResourceError
 from powfrac.paircount import PairQuery, count_pairs_interval
 from powfrac.sieve import SieveProblem, dense_gram_eigenvalue
 
@@ -807,8 +807,7 @@ def test_sieve_l1_bad_basis_index_or_seed_exits_2(capsys, argv, message):
 
 @pytest.mark.parametrize("error, code, prefix", [
     (ResourceError("cap"), 3, "resource limit: cap"),
-    (RootBracketError("bracket"), 2, "error: bracket"),
-    (DimensionError("length"), 2, "error: length"),
+    (RangeError("range"), 2, "error: range"),
     (ValueError("bug"), 1, "internal error: bug"),
 ])
 def test_exit_code_follows_the_error_type(capsys, monkeypatch, error, code, prefix):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powfrac import RangeError, ResourceError, RootBracketError, expsum
+from powfrac import RangeError, ResourceError, expsum
 from powfrac.expsum import (MAX_SUM_TERMS, SUM_CHUNK, GenericPhase, MeanValueSpec, PhaseSpec,
                             calibrate_mean_value_shortening,
                             calibrate_pair_count_vs_mean_value, direct_monomial_sum,
@@ -310,7 +310,7 @@ def test_root_bracket_error_on_nonmonotone_derivative():
         a=1.0,
         b=3.0,
     )
-    with pytest.raises(RootBracketError):
+    with pytest.raises(RangeError, match="sampled f' is not monotone"):
         stationary_phase_generic(phase)
 
 
@@ -333,7 +333,17 @@ def test_nonmonotone_derivative_detected_without_metadata():
         a=1.0,
         b=3.5,
     )
-    with pytest.raises(RootBracketError):
+    with pytest.raises(RangeError, match="sampled f' is not monotone"):
+        stationary_phase_generic(phase)
+
+
+def test_stationary_phase_refuses_reversed_endpoints():
+    # f = x^2 on [5, 1]: refused before any sample of f', not summed as if on [1, 5]
+    def df(x):
+        pytest.fail("sampled f' on a reversed interval")
+
+    phase = GenericPhase(f=lambda x: x * x, df=df, d2f=lambda x: 2.0, a=5.0, b=1.0)
+    with pytest.raises(RangeError, match=r"a <= b, got \[5.0, 1.0\]"):
         stationary_phase_generic(phase)
 
 
@@ -480,6 +490,13 @@ def test_mean_value_theta_bound_enforced():
         mean_value_integral(spec)
     with pytest.raises(RangeError):
         phase_pair_count(spec)
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(math.nan, 0.0), complex(0.0, math.inf)])
+def test_mean_value_refuses_a_theta_that_is_not_finite(bad):
+    spec = MeanValueSpec(power_phase(1), (1, 2), (1, 2), 4.0, theta=lambda n, u: bad)
+    with pytest.raises(RangeError, match=r"\|theta\(1,1\)\| = (nan|inf) is not at most 1"):
+        mean_value_integral(spec)
 
 
 def test_mean_value_bounded_theta_vs_unit_theta():

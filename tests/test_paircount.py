@@ -453,3 +453,38 @@ def test_block_cap_counts_words_of_n_to_the_k(monkeypatch):
         assert count_pairs_block(DyadicBlockQuery(k, 1, 50, 1, 50, Fraction(1))) == 2500
         with pytest.raises(ResourceError, match="strips"):
             count_pairs_block(DyadicBlockQuery(k, 1, 51, 1, 50, Fraction(1)))
+
+
+def test_int_threshold_keeps_the_measure_exact():
+    # An int y used to turn the radius, the integral and the measure into floats
+    prof = coverage_profile(2, 5, 50)
+    assert prof == coverage_profile(2, 5, Fraction(50))
+    assert prof.radius == Fraction(1, 50) and type(prof.radius) is Fraction
+    assert prof.integral() == Fraction(37, 25)
+    assert exceptional_measure(prof, 2) == Fraction(209, 450)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 5), st.integers(1, 300), st.booleans(),
+       st.sampled_from(["line", "circle"]), st.integers(1, 4), st.integers(1, 4),
+       st.fractions(0, 1, max_denominator=30))
+def test_every_threshold_entry_point_takes_an_int_as_its_fraction(k, n_max, y, coprime, metric,
+                                                                  u, n, x):
+    """The four entry points that take a threshold scale y give the same answers for
+    an int y as for Fraction(y), keep the profile in Fractions, and refuse a float y."""
+    exact = Fraction(y)
+    assert (count_pairs_interval(PairQuery(k, n_max, y, coprime, metric))
+            == count_pairs_interval(PairQuery(k, n_max, exact, coprime, metric)))
+    assert (count_pairs_block(DyadicBlockQuery(k, u, n, n, u, y))
+            == count_pairs_block(DyadicBlockQuery(k, u, n, n, u, exact)))
+    assert window_count(k, n_max, x, y, coprime) == window_count(k, n_max, x, exact, coprime)
+    prof = coverage_profile(k, n_max, y, coprime)
+    assert prof == coverage_profile(k, n_max, exact, coprime)
+    assert all(type(v) is Fraction for v in (prof.radius, *prof.breakpoints,
+                                             exceptional_measure(prof, 1)))
+    for call in (lambda: PairQuery(k, n_max, float(y), coprime, metric),
+                 lambda: DyadicBlockQuery(k, u, n, n, u, float(y)),
+                 lambda: window_count(k, n_max, x, float(y), coprime),
+                 lambda: coverage_profile(k, n_max, float(y), coprime)):
+        with pytest.raises(RangeError, match="threshold scale y must be an int or a Fraction"):
+            call()

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powfrac import sieve
-from powfrac.errors import DimensionError, RangeError, ResourceError
+from powfrac.errors import RangeError, ResourceError
 from powfrac.fraccore import tuple_count
 from powfrac.sieve import (
     BoundReport,
@@ -308,7 +308,7 @@ def test_l1_sum_cauchy_schwarz_bound():
 
 def test_l1_sum_rejects_wrong_length():
     p = SieveProblem(k=1, n_max=2, m_len=4)
-    with pytest.raises(DimensionError):
+    with pytest.raises(RangeError, match=r"alpha must have length 4, got shape \(5,\)"):
         l1_sieve_sum(p, np.ones(5))
 
 
@@ -346,8 +346,17 @@ def test_dual_form_refuses_before_listing_rows(monkeypatch):
 def test_dual_form_rejects_wrong_length_sequence():
     p = SieveProblem(k=1, n_max=2, m_len=3)
     a, _ = sieve_rows(p)
-    with pytest.raises(DimensionError):
+    with pytest.raises(RangeError, match=rf"coeffs must have length {len(a)}, got shape"):
         dual_quadratic_form(p, [1.0] * (len(a) + 1))
+
+
+def test_dual_form_checks_length_before_building_the_matrix(monkeypatch):
+    # The P x M matrix takes its entries from np.exp, so a length refusal must come first
+    p = SieveProblem(k=2, n_max=3, m_len=4)
+    coeffs = np.ones(row_count(p) - 1)
+    monkeypatch.setattr(np, "exp", lambda *args: pytest.fail("built B before the length check"))
+    with pytest.raises(RangeError, match="coeffs must have length"):
+        dual_quadratic_form(p, coeffs)
 
 
 def test_duality_l1_versus_sup_estimate():
